@@ -4,13 +4,14 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <variant>
 
 #include "common/log.hh"
 #include "common/worker_pool.hh"
+#include "knobs.hh"
 #include "system.hh"
 
 namespace mcsim {
@@ -49,211 +50,32 @@ ExperimentRunner::defaultThreads()
     return hw >= 1 ? hw : 1;
 }
 
+SimConfig
+ExperimentRunner::runConfig(const SimConfig &cfg,
+                            std::uint32_t kernelThreads)
+{
+    SimConfig run = cfg;
+    run.shortenWindows(fastDivisor());
+    if (kernelThreads)
+        run.kernelThreads = kernelThreads;
+    return run;
+}
+
 namespace {
 
-/** Key segment carrying the device + clock fingerprint (schema v3). */
-constexpr const char *kDeviceKeyTag = "|dev=";
-
-/** Key segment carrying the bank-group fingerprint (schema v5):
- *  groups per rank plus the group-mapping option. */
-constexpr const char *kBankGroupKeyTag = "|bg=";
-
-/** Key segment carrying the memory-backend fingerprint (schema v6):
- *  "flat", or the stacked geometry ("st<vaults>v<banks>b", plus a
- *  trailing 'r' when dynamic remapping is on). */
-constexpr const char *kBackendKeyTag = "|be=";
-
-/** Prefix of the full-parameter hash segment (schema v4). */
-constexpr const char *kParamsKeyTag = "|p";
-constexpr std::size_t kParamsHashDigits = 16;
-
-/** FNV-1a accumulator over the config fields the readable key omits. */
-class ParamsHasher
-{
-  public:
-    ParamsHasher &
-    u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h_ ^= (v >> (8 * i)) & 0xFF;
-            h_ *= 1099511628211ull;
-        }
-        return *this;
-    }
-
-    ParamsHasher &
-    f64(double v)
-    {
-        std::uint64_t bits = 0;
-        std::memcpy(&bits, &v, sizeof(bits));
-        return u64(bits);
-    }
-
-    std::uint64_t value() const { return h_; }
-
-  private:
-    std::uint64_t h_ = 1469598103934665603ull;
-};
-
-/**
- * Hash of every tunable the readable key segments do not spell out:
- * the full SchedulerParams set (the old key fingerprinted only the
- * ATLAS quantum, so STFM-alpha or TCM sweeps aliased to one row),
- * page-policy-affecting controller knobs, refresh, crossbar latency,
- * and the geometry/hierarchy/core dimensions a hand-modified config
- * could change without changing the device name.
- */
-std::uint64_t
-paramsHash(const SimConfig &cfg)
-{
-    ParamsHasher h;
-    const SchedulerParams &sp = cfg.schedulerParams;
-    h.u64(sp.parBs.batchingCap);
-    h.u64(sp.atlas.quantumCycles)
-        .f64(sp.atlas.alpha)
-        .u64(sp.atlas.starvationCycles)
-        .f64(sp.atlas.serviceUnitsPerCas);
-    h.u64(sp.rl.numTables)
-        .u64(sp.rl.tableSize)
-        .f64(sp.rl.alpha)
-        .f64(sp.rl.gamma)
-        .f64(sp.rl.epsilon)
-        .u64(sp.rl.exploreNoAction ? 1 : 0)
-        .u64(sp.rl.starvationCycles)
-        .u64(sp.rl.seed);
-    h.u64(sp.tcm.quantumCycles)
-        .u64(sp.tcm.shuffleCycles)
-        .f64(sp.tcm.clusterFrac)
-        .u64(sp.tcm.starvationCycles)
-        .u64(sp.tcm.seed);
-    h.f64(sp.stfm.alpha)
-        .u64(sp.stfm.decayCycles)
-        .f64(sp.stfm.decayFactor)
-        .u64(sp.stfm.starvationCycles);
-    h.u64(cfg.controller.writeDrainHigh)
-        .u64(cfg.controller.writeDrainLow)
-        .u64(cfg.controller.writeDrainIdle)
-        .u64(cfg.controller.writeIdleDrainCycles)
-        .u64(cfg.controller.forwardLatencyCycles);
-    h.u64(cfg.xbarLatencyCycles).u64(cfg.refreshEnabled ? 1 : 0);
-    h.u64(cfg.dram.ranksPerChannel)
-        .u64(cfg.dram.banksPerRank)
-        .u64(cfg.dram.rowsPerBank)
-        .u64(cfg.dram.rowBufferBytes)
-        .u64(cfg.dram.blockBytes);
-    for (const CacheConfig &c :
-         {cfg.hierarchy.l1i, cfg.hierarchy.l1d, cfg.hierarchy.l2}) {
-        h.u64(c.sizeBytes).u64(c.ways).u64(c.blockBytes);
-    }
-    h.u64(cfg.hierarchy.l2Banks);
-    h.u64(cfg.core.mlpWindow)
-        .u64(cfg.core.storeBufferEntries)
-        .u64(cfg.core.l2HitLatency)
-        .u64(cfg.core.instrsPerFetchBlock);
-    // Schema v6 extends the hash *conditionally*: the stacked-backend
-    // and TSV fields are folded in only when they are in play, so every
-    // flat-backend hash is byte-identical to the v5 hash and the v5
-    // cache rows stay recallable without a migration pass.
-    if (cfg.timings.tTSV != 0)
-        h.u64(cfg.timings.tTSV);
-    if (cfg.backend == MemBackendKind::StackedDram) {
-        h.u64(cfg.dram.vaultsPerStack);
-        h.u64(cfg.remap.enabled ? 1 : 0)
-            .u64(cfg.remap.windowAccesses)
-            .f64(cfg.remap.hotFactor)
-            .u64(cfg.remap.migrationRows)
-            .u64(cfg.remap.migrationCyclesPerRow);
-    }
-    // Schema v7: the tiered-memory knobs, again folded in only when
-    // the tier is enabled so every non-tiered hash (and therefore every
-    // v6 key) stays byte-identical.
-    if (cfg.tier.enabled) {
-        h.u64(static_cast<std::uint64_t>(cfg.tier.policy))
-            .u64(cfg.tier.slowLatencyDramCycles)
-            .u64(cfg.tier.slowBwPct)
-            .u64(cfg.tier.fastCapacityPct)
-            .u64(cfg.tier.monitorSampleEvery)
-            .u64(cfg.tier.monitorWindowSamples)
-            .u64(cfg.tier.monitorMinRegions)
-            .u64(cfg.tier.monitorMaxRegions)
-            .f64(cfg.tier.hotFactor)
-            .u64(cfg.tier.migrationCyclesPerRow);
-    }
-    return h.value();
-}
-
-/** The "|p<16 hex digits>" segment for @p cfg. */
+/** 64-bit FNV-1a of @p text, as 16 lowercase hex digits. */
 std::string
-paramsSegment(const SimConfig &cfg)
+fnv1aHex(const std::string &text)
 {
-    char buf[2 + kParamsHashDigits + 1];
-    std::snprintf(buf, sizeof(buf), "%s%016llx", kParamsKeyTag,
-                  static_cast<unsigned long long>(paramsHash(cfg)));
-    return buf;
-}
-
-/** The "|bg=<groups><i|p>" segment for @p cfg (schema v5). On a
- *  single-group device the two placements are the same physical
- *  layout, so the segment normalizes to 'i' and a sweep over the
- *  group-mapping axis recalls one shared row instead of simulating
- *  the identical point twice. */
-std::string
-bankGroupSegment(const SimConfig &cfg)
-{
-    std::string seg = kBankGroupKeyTag;
-    seg += std::to_string(cfg.dram.bankGroupsPerRank);
-    const bool packed = cfg.dram.bankGroupsPerRank > 1 &&
-                        cfg.bankGroupMapping ==
-                            BankGroupMapping::GroupPacked;
-    seg += packed ? 'p' : 'i';
-    return seg;
-}
-
-/** The "|be=..." segment for @p cfg (schema v6; schema v7 appends a
- *  "+t<fast-capacity-pct><policy initial>" suffix when the tiered
- *  composition is enabled, so a tiered run never aliases the plain
- *  fast-tier row and non-tiered keys stay byte-identical to v6). */
-std::string
-backendSegment(const SimConfig &cfg)
-{
-    std::string seg = kBackendKeyTag;
-    if (cfg.backend == MemBackendKind::StackedDram) {
-        seg += "st";
-        seg += std::to_string(cfg.dram.vaultsPerStack);
-        seg += 'v';
-        seg += std::to_string(cfg.dram.banksPerRank);
-        seg += 'b';
-        if (cfg.remap.enabled)
-            seg += 'r';
-    } else {
-        seg += "flat";
+    std::uint64_t h = 1469598103934665603ull;
+    for (const char c : text) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;
     }
-    if (cfg.tier.enabled) {
-        seg += "+t";
-        seg += std::to_string(cfg.tier.fastCapacityPct);
-        seg += tierPolicyName(cfg.tier.policy)[0]; // s / h / a.
-    }
-    return seg;
-}
-
-/** Does @p key already end with a params-hash segment? */
-bool
-hasParamsSegment(const std::string &key)
-{
-    const std::size_t segLen = 2 + kParamsHashDigits;
-    if (key.size() < segLen)
-        return false;
-    const std::size_t at = key.size() - segLen;
-    if (key.compare(at, 2, kParamsKeyTag) != 0)
-        return false;
-    for (std::size_t i = at + 2; i < key.size(); ++i) {
-        const char c = key[i];
-        if (!std::isxdigit(static_cast<unsigned char>(c)) ||
-            std::isupper(static_cast<unsigned char>(c))) {
-            return false;
-        }
-    }
-    return true;
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(h));
+    return hex;
 }
 
 } // namespace
@@ -261,35 +83,11 @@ hasParamsSegment(const std::string &key)
 std::string
 ExperimentRunner::configKey(WorkloadId workload, const SimConfig &cfg)
 {
-    std::ostringstream key;
-    key << workloadAcronym(workload) << '|'
-        << schedulerKindName(cfg.scheduler) << '|'
-        << pagePolicyKindName(cfg.pagePolicy) << '|'
-        << mappingSchemeName(cfg.mapping) << '|' << cfg.dram.channels
-        << "ch|" << cfg.numCores << "c|" << cfg.warmupCoreCycles / 1000
-        << '+' << cfg.measureCoreCycles / 1000 << "k|s" << cfg.seed
-        << "|q" << cfg.schedulerParams.atlas.quantumCycles / 1000 << "|f"
-        << fastDivisor();
-    if (cfg.coreMlpOverride)
-        key << "|mlp" << cfg.coreMlpOverride;
-    // Schema v3: rows are keyed by the DRAM device and both clock
-    // frequencies, so two devices (or a core-frequency sweep) can
-    // never alias to one cached row.
-    key << kDeviceKeyTag << cfg.deviceName << '@' << cfg.clocks.coreMhz
-        << ':' << cfg.clocks.dramMhz;
-    // Schema v5: the bank-group axis (groups per rank + the group-
-    // mapping option), so a grouped-timing run never aliases a row
-    // simulated under the old single-tCCD model or the other mapping.
-    key << bankGroupSegment(cfg);
-    // Schema v6: the memory-backend axis (flat vs. stacked vault
-    // geometry, with the remap flag), so a stacked-backend run never
-    // aliases a row simulated under the flat JEDEC model.
-    key << backendSegment(cfg);
-    // Schema v4: a hash of the full parameter set, so sweeps over any
-    // scheduler/controller/geometry tunable the readable segments omit
-    // can never alias either.
-    key << paramsSegment(cfg);
-    return key.str();
+    // The hash covers the config the simulation actually runs, so the
+    // CLOUDMC_FAST windows and full windows of equal length share a row.
+    const Point p(workload, runConfig(cfg));
+    return std::string(workloadAcronym(workload)) + '|' +
+           fnv1aHex(canonicalPointText(p));
 }
 
 std::string
@@ -308,193 +106,103 @@ ExperimentRunner::pointKey(const Point &p)
 
 namespace {
 
-/** The v1 record's 15 numeric CSV columns. */
-constexpr std::size_t kCacheFieldsV1 = 15;
-/** Schema v2 appends the read-latency percentiles (P50/P95/P99).
- *  Schema v3 keeps the v2 columns and extends the *key* with the
- *  device/clock segment; v1/v2 rows are migrated on load by tagging
- *  their keys with the only device those schemas could simulate (the
- *  DDR3-1600 baseline at stock clocks). */
-constexpr std::size_t kCacheFieldsV2 = 18;
-/** Schema v4 appends the fairness scalars (weighted speedup, harmonic
- *  speedup, max slowdown) plus two ';'-joined per-core lists (IPC and
- *  slowdown, either possibly empty), and extends the *key* with the
- *  full-parameter hash segment; older keys are migrated on load by
- *  tagging them with the baseline parameter set (the only one the
- *  benches swept before the hash existed — rows written by older
- *  builds with hand-tuned parameters were aliased then and stay
- *  indistinguishable, so they migrate as baseline rows too). */
-constexpr std::size_t kCacheScalarsV4 = 21;
-constexpr std::size_t kCacheFieldsV4 = 23;
-/** Schema v5 appends the same-bank-group CAS percentage column and
- *  extends the *key* with the bank-group segment; older keys are
- *  migrated on load by tagging them with the single-group fingerprint
- *  ("|bg=1i") — the only timing model those schemas could simulate. */
-constexpr std::size_t kCacheFieldsV5 = 24;
-/** Schema v6 appends the stacked-backend columns (vault-queue
- *  imbalance, the two remap-migration counters, and the ';'-joined
- *  per-vault read-queue list — all zeros/empty on flat rows) and
- *  extends the *key* with the backend segment; older keys are migrated
- *  on load by tagging them with the flat fingerprint ("|be=flat") —
- *  the only backend those schemas could simulate. */
-constexpr std::size_t kCacheFieldsV6 = 28;
-/** Schema v7 appends the tiered-backend columns (fast-tier hit
- *  percent, slow-tier read-latency P99, and the two tier-migration
- *  counters — all zeros on non-tiered rows) and extends the *key*'s
- *  backend segment with a "+t..." suffix on tiered configs only, so
- *  v6 keys and rows need no migration at all: a v6 line parses as a
- *  v7 row whose tier columns are zero. */
-constexpr std::size_t kCacheFieldsV7 = 32;
+/** Opens every cache section header line. */
+constexpr const char *kCacheTag = "#cloudmc-cache ";
 
-/** Parse a ';'-joined list of doubles; empty text is an empty list. */
-bool
-parseDoubleList(const std::string &text, std::vector<double> &out)
+void
+writeValue(std::ostream &out, double v)
 {
-    out.clear();
-    if (text.empty())
-        return true;
-    std::size_t start = 0;
-    while (true) {
-        const std::size_t semi = text.find(';', start);
-        const std::string item =
-            semi == std::string::npos
-                ? text.substr(start)
-                : text.substr(start, semi - start);
-        char *end = nullptr;
-        const double v = std::strtod(item.c_str(), &end);
-        if (item.empty() || end != item.c_str() + item.size())
-            return false;
-        out.push_back(v);
-        if (semi == std::string::npos)
-            return true;
-        start = semi + 1;
-    }
+    out << v;
 }
 
-/**
- * Split one CSV line; accepts key + 15 fields (v1, written before the
- * percentiles were persisted — they load as 0), key + 18 fields
- * (v2/v3), key + 23 fields (v4, with the fairness columns), key + 24
- * fields (v5), key + 28 fields (v6, with the stacked-backend
- * columns), or key + 32 fields (v7, with the tiered-backend columns).
- */
-bool
-parseCacheLine(const std::string &line, std::string &key, MetricSet &m)
+void
+writeValue(std::ostream &out, std::uint64_t v)
 {
-    std::vector<std::string> fields;
-    std::size_t start = 0;
-    while (true) {
-        const std::size_t comma = line.find(',', start);
-        if (comma == std::string::npos) {
-            fields.push_back(line.substr(start));
-            break;
-        }
-        fields.push_back(line.substr(start, comma - start));
-        start = comma + 1;
-    }
-    if ((fields.size() != kCacheFieldsV1 + 1 &&
-         fields.size() != kCacheFieldsV2 + 1 &&
-         fields.size() != kCacheFieldsV4 + 1 &&
-         fields.size() != kCacheFieldsV5 + 1 &&
-         fields.size() != kCacheFieldsV6 + 1 &&
-         fields.size() != kCacheFieldsV7 + 1) ||
-        fields[0].empty()) {
+    out << v;
+}
+
+void
+writeValue(std::ostream &out, const std::vector<double> &values)
+{
+    for (std::size_t i = 0; i < values.size(); ++i)
+        out << (i ? ";" : "") << values[i];
+}
+
+/** Parse one field starting at @p p, leaving @p p just past it. */
+bool
+readValue(const char *&p, double &v)
+{
+    char *end = nullptr;
+    v = std::strtod(p, &end);
+    const bool ok = end != p;
+    p = end;
+    return ok;
+}
+
+bool
+readValue(const char *&p, std::uint64_t &v)
+{
+    if (!std::isdigit(static_cast<unsigned char>(*p)))
         return false;
-    }
-    const std::size_t numFields = fields.size() - 1;
-    const std::size_t numScalars =
-        numFields > kCacheScalarsV4 ? kCacheScalarsV4 : numFields;
-
-    double v[kCacheScalarsV4] = {};
-    for (std::size_t i = 0; i < numScalars; ++i) {
-        const std::string &f = fields[i + 1];
-        char *end = nullptr;
-        v[i] = std::strtod(f.c_str(), &end);
-        if (f.empty() || end != f.c_str() + f.size())
-            return false;
-    }
-
-    key = fields[0];
-    m = MetricSet{};
-    m.userIpc = v[0];
-    m.avgReadLatency = v[1];
-    m.rowHitRatePct = v[2];
-    m.l2Mpki = v[3];
-    m.avgReadQueue = v[4];
-    m.avgWriteQueue = v[5];
-    m.bwUtilPct = v[6];
-    m.singleAccessPct = v[7];
-    m.committedInstructions = static_cast<std::uint64_t>(v[8]);
-    m.measuredCycles = static_cast<std::uint64_t>(v[9]);
-    m.memReads = static_cast<std::uint64_t>(v[10]);
-    m.memWrites = static_cast<std::uint64_t>(v[11]);
-    m.ipcDisparity = v[12];
-    m.dramEnergyNj = v[13];
-    m.dramAvgPowerMw = v[14];
-    if (numFields >= kCacheFieldsV2) {
-        m.readLatencyP50 = v[15];
-        m.readLatencyP95 = v[16];
-        m.readLatencyP99 = v[17];
-    }
-    if (numFields >= kCacheFieldsV4) {
-        m.weightedSpeedup = v[18];
-        m.harmonicSpeedup = v[19];
-        m.maxSlowdown = v[20];
-        if (!parseDoubleList(fields[1 + 21], m.perCoreIpc) ||
-            !parseDoubleList(fields[1 + 22], m.perCoreSlowdown)) {
-            return false;
-        }
-    }
-    if (numFields >= kCacheFieldsV5) {
-        const std::string &f = fields[1 + 23];
-        char *end = nullptr;
-        m.sameGroupCasPct = std::strtod(f.c_str(), &end);
-        if (f.empty() || end != f.c_str() + f.size())
-            return false;
-    }
-    if (numFields >= kCacheFieldsV6) {
-        double scalars[3] = {};
-        for (std::size_t i = 0; i < 3; ++i) {
-            const std::string &f = fields[1 + 24 + i];
-            char *end = nullptr;
-            scalars[i] = std::strtod(f.c_str(), &end);
-            if (f.empty() || end != f.c_str() + f.size())
-                return false;
-        }
-        m.vaultQueueImbalance = scalars[0];
-        m.remapMigrations = static_cast<std::uint64_t>(scalars[1]);
-        m.remapMigratedRows = static_cast<std::uint64_t>(scalars[2]);
-        if (!parseDoubleList(fields[1 + 27], m.perVaultReadQueue))
-            return false;
-    }
-    if (numFields >= kCacheFieldsV7) {
-        double scalars[4] = {};
-        for (std::size_t i = 0; i < 4; ++i) {
-            const std::string &f = fields[1 + 28 + i];
-            char *end = nullptr;
-            scalars[i] = std::strtod(f.c_str(), &end);
-            if (f.empty() || end != f.c_str() + f.size())
-                return false;
-        }
-        m.fastTierHitPct = scalars[0];
-        m.slowTierReadLatencyP99 = scalars[1];
-        m.tierMigrations = static_cast<std::uint64_t>(scalars[2]);
-        m.tierMigratedRows = static_cast<std::uint64_t>(scalars[3]);
-    }
+    char *end = nullptr;
+    v = std::strtoull(p, &end, 10);
+    p = end;
     return true;
 }
 
-/** Join doubles with ';' for one CSV field. */
-std::string
-joinDoubleList(const std::vector<double> &values)
+/** A ';'-joined list of doubles; an empty field is an empty list. */
+bool
+readValue(const char *&p, std::vector<double> &values)
 {
-    std::ostringstream out;
-    for (std::size_t i = 0; i < values.size(); ++i)
-        out << (i ? ";" : "") << values[i];
-    return out.str();
+    values.clear();
+    if (*p == ',' || *p == '\0')
+        return true;
+    while (true) {
+        double v = 0.0;
+        if (!readValue(p, v))
+            return false;
+        values.push_back(v);
+        if (*p != ';')
+            return true;
+        ++p;
+    }
+}
+
+/** Parse one cache row: the key, then one field per metricFields()
+ *  entry, comma-separated. */
+bool
+parseCacheRow(const std::string &line, std::string &key, MetricSet &m)
+{
+    const std::size_t comma = line.find(',');
+    if (comma == 0 || comma == std::string::npos)
+        return false;
+    key.assign(line, 0, comma);
+    m = MetricSet{};
+    const char *p = line.c_str() + comma;
+    for (const MetricField &f : metricFields()) {
+        if (*p++ != ',')
+            return false;
+        const bool ok = std::visit(
+            [&](auto member) { return readValue(p, m.*member); }, f.member);
+        if (!ok)
+            return false;
+    }
+    return *p == '\0';
 }
 
 } // namespace
+
+const std::string &
+ExperimentRunner::cacheHeader()
+{
+    static const std::string header = [] {
+        std::string columns = "key";
+        for (const MetricField &f : metricFields())
+            columns.append(",").append(f.name);
+        return kCacheTag + fnv1aHex(columns) + ' ' + columns;
+    }();
+    return header;
+}
 
 void
 ExperimentRunner::loadCache()
@@ -502,73 +210,37 @@ ExperimentRunner::loadCache()
     std::ifstream in(cachePath_);
     if (!in)
         return;
-    std::string line;
+    // Rows load only inside a section this schema opened; rows of any
+    // other schema (or written before headers existed) are skipped,
+    // never migrated: the cache is derived data.
+    bool current = false;
+    std::string line, key;
     while (std::getline(in, line)) {
-        std::string key;
-        MetricSet m;
-        if (!parseCacheLine(line, key, m))
+        if (line.rfind(kCacheTag, 0) == 0) {
+            current = line == cacheHeader();
             continue;
-        // Schema v1/v2 keys predate the device axis; everything they
-        // recorded ran the DDR3-1600 baseline at stock clocks, so tag
-        // them with that fingerprint instead of dropping the rows.
-        if (key.find(kDeviceKeyTag) == std::string::npos)
-            key += std::string(kDeviceKeyTag) + "DDR3-1600@2000:800";
-        // Schema v1-v4 keys predate the bank-group axis; everything
-        // they recorded ran the single-tCCD model, i.e. one bank group
-        // under the (then-only) interleaved placement. Insert that
-        // fingerprint before any trailing params-hash segment so the
-        // migrated key matches configKey()'s segment order.
-        if (key.find(kBankGroupKeyTag) == std::string::npos) {
-            const std::string bgSeg =
-                std::string(kBankGroupKeyTag) + "1i";
-            if (hasParamsSegment(key))
-                key.insert(key.size() - (2 + kParamsHashDigits), bgSeg);
-            else
-                key += bgSeg;
         }
-        // Schema v1-v5 keys predate the backend axis; everything they
-        // recorded ran the flat JEDEC model (the stacked backend did
-        // not exist). Insert that fingerprint before any trailing
-        // params-hash segment, matching configKey()'s segment order.
-        if (key.find(kBackendKeyTag) == std::string::npos) {
-            const std::string beSeg = std::string(kBackendKeyTag) + "flat";
-            if (hasParamsSegment(key))
-                key.insert(key.size() - (2 + kParamsHashDigits), beSeg);
-            else
-                key += beSeg;
-        }
-        // Schema v1-v3 keys predate the full-parameter hash; the only
-        // parameter set they could name unambiguously is the baseline
-        // one, so migrate them to its fingerprint.
-        if (!hasParamsSegment(key)) {
-            static const std::string baselineSeg =
-                paramsSegment(SimConfig::baseline());
-            key += baselineSeg;
-        }
-        cache_[key] = m;
+        MetricSet m;
+        if (current && parseCacheRow(line, key, m))
+            cache_[key] = std::move(m);
     }
+    sectionOpen_ = current;
 }
 
 void
 ExperimentRunner::appendToCache(const std::string &key, const MetricSet &m)
 {
     std::ostringstream rec;
-    rec << key << ',' << m.userIpc << ',' << m.avgReadLatency << ','
-        << m.rowHitRatePct << ',' << m.l2Mpki << ',' << m.avgReadQueue
-        << ',' << m.avgWriteQueue << ',' << m.bwUtilPct << ','
-        << m.singleAccessPct << ',' << m.committedInstructions << ','
-        << m.measuredCycles << ',' << m.memReads << ',' << m.memWrites
-        << ',' << m.ipcDisparity << ',' << m.dramEnergyNj << ','
-        << m.dramAvgPowerMw << ',' << m.readLatencyP50 << ','
-        << m.readLatencyP95 << ',' << m.readLatencyP99 << ','
-        << m.weightedSpeedup << ',' << m.harmonicSpeedup << ','
-        << m.maxSlowdown << ',' << joinDoubleList(m.perCoreIpc) << ','
-        << joinDoubleList(m.perCoreSlowdown) << ',' << m.sameGroupCasPct
-        << ',' << m.vaultQueueImbalance << ',' << m.remapMigrations
-        << ',' << m.remapMigratedRows << ','
-        << joinDoubleList(m.perVaultReadQueue) << ','
-        << m.fastTierHitPct << ',' << m.slowTierReadLatencyP99 << ','
-        << m.tierMigrations << ',' << m.tierMigratedRows << '\n';
+    // Open a section first unless the file already ends inside one.
+    if (!sectionOpen_)
+        rec << cacheHeader() << '\n';
+    rec << key;
+    for (const MetricField &f : metricFields()) {
+        rec << ',';
+        std::visit([&](auto member) { writeValue(rec, m.*member); },
+                   f.member);
+    }
+    rec << '\n';
     const std::string line = rec.str();
 
     // One fwrite on an O_APPEND stream keeps the record contiguous
@@ -582,47 +254,26 @@ ExperimentRunner::appendToCache(const std::string &key, const MetricSet &m)
     }
     if (std::fwrite(line.data(), 1, line.size(), f) != line.size())
         mc_warn("short write to results cache '", cachePath_, "'");
+    else
+        sectionOpen_ = true;
     std::fclose(f);
-}
-
-MetricSet
-ExperimentRunner::simulate(WorkloadId workload, const SimConfig &cfg,
-                           std::uint32_t presetCores,
-                           std::uint32_t kernelThreads)
-{
-    SimConfig effective = cfg;
-    const std::uint64_t divisor = fastDivisor();
-    effective.warmupCoreCycles = cfg.warmupCoreCycles / divisor;
-    effective.measureCoreCycles =
-        std::max<std::uint64_t>(cfg.measureCoreCycles / divisor, 100'000);
-    if (kernelThreads)
-        effective.kernelThreads = kernelThreads;
-
-    WorkloadParams params = workloadPreset(workload);
-    if (presetCores)
-        params.cores = presetCores;
-    System system(effective, params);
-    return system.run();
 }
 
 MetricSet
 ExperimentRunner::simulatePoint(const Point &p, std::uint32_t kernelThreads)
 {
-    if (!p.makeGenerator)
-        return simulate(p.workload, p.cfg, p.presetCores, kernelThreads);
-
-    SimConfig effective = p.cfg;
-    const std::uint64_t divisor = fastDivisor();
-    effective.warmupCoreCycles = p.cfg.warmupCoreCycles / divisor;
-    effective.measureCoreCycles = std::max<std::uint64_t>(
-        p.cfg.measureCoreCycles / divisor, 100'000);
-    if (kernelThreads)
-        effective.kernelThreads = kernelThreads;
-
-    const auto generator = p.makeGenerator();
-    mc_assert(generator && p.customCores >= 1,
-              "custom experiment point needs a generator and cores");
-    System system(effective, *generator, p.customCores);
+    const SimConfig cfg = runConfig(p.cfg, kernelThreads);
+    if (p.makeGenerator) {
+        const auto generator = p.makeGenerator();
+        mc_assert(generator && p.customCores >= 1,
+                  "custom experiment point needs a generator and cores");
+        System system(cfg, *generator, p.customCores);
+        return system.run();
+    }
+    WorkloadParams params = workloadPreset(p.workload);
+    if (p.presetCores)
+        params.cores = p.presetCores;
+    System system(cfg, params);
     return system.run();
 }
 
@@ -711,7 +362,7 @@ ExperimentRunner::run(WorkloadId workload, const SimConfig &cfg)
         }
     }
 
-    const MetricSet m = simulate(workload, cfg);
+    const MetricSet m = simulatePoint(Point(workload, cfg));
 
     std::lock_guard<std::mutex> lock(mu_);
     ++simulationsRun_;
@@ -741,9 +392,6 @@ ExperimentRunner::runAll(const std::vector<Point> &points, unsigned threads)
     struct WorkItem
     {
         const Point *point;
-        /** The result must carry per-core IPCs (fairness needs them);
-         *  a cached pre-v4 row without them is treated as a miss. */
-        bool needPerCore;
         /** Fairness point: its CSV row is appended after derivation so
          *  the on-disk cache carries the fairness columns. */
         bool deferAppend;
@@ -751,16 +399,14 @@ ExperimentRunner::runAll(const std::vector<Point> &points, unsigned threads)
     std::vector<WorkItem> work;
     work.reserve(points.size());
     std::vector<std::vector<std::size_t>> baselineAt(points.size());
-    for (const Point &p : points) {
-        const bool fair = !p.baselines.empty();
-        work.push_back({&p, fair, fair});
-    }
+    for (const Point &p : points)
+        work.push_back({&p, !p.baselines.empty()});
     for (std::size_t i = 0; i < points.size(); ++i) {
         for (const Point::AloneBaseline &b : points[i].baselines) {
             mc_assert(b.run.baselines.empty(),
                       "baseline runs must not carry baselines");
             baselineAt[i].push_back(work.size());
-            work.push_back({&b.run, true, false});
+            work.push_back({&b.run, false});
         }
     }
 
@@ -791,8 +437,7 @@ ExperimentRunner::runAll(const std::vector<Point> &points, unsigned threads)
                 continue;
             }
             auto it = cache_.find(key);
-            if (it != cache_.end() &&
-                !(work[i].needPerCore && it->second.perCoreIpc.empty())) {
+            if (it != cache_.end()) {
                 ++cacheHits_;
                 res[i] = it->second;
                 continue;

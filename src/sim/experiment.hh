@@ -135,8 +135,23 @@ class ExperimentRunner
      */
     static ThreadSplit planThreadSplit(std::size_t jobs, unsigned threads);
 
-    /** Stable fingerprint of a (workload, config) point. */
+    /**
+     * Stable fingerprint of a (workload, config) point: the workload
+     * acronym plus a 64-bit FNV-1a hash of canonicalPointText() (see
+     * sim/knobs.hh) over the config as it runs, i.e. after the
+     * CLOUDMC_FAST division. kernel_threads and knobs dormant for the
+     * config are left out, so points that simulate identically share
+     * one row.
+     */
     static std::string configKey(WorkloadId workload, const SimConfig &cfg);
+
+    /**
+     * The line opening every section of the results-cache file:
+     * "#cloudmc-cache <schema hash> key,<column>,...". Rows load only
+     * under a header equal to this one; any other rows are skipped
+     * (and re-simulated on demand), never migrated.
+     */
+    static const std::string &cacheHeader();
 
     /**
      * The cache fingerprint runAll() memoizes @p p under: customKey
@@ -174,20 +189,24 @@ class ExperimentRunner
     /**
      * Append one record as a single flushed write so concurrent
      * processes sharing the cache file cannot interleave partial
-     * lines. Caller holds mu_.
+     * lines; the first record of a file that does not end inside a
+     * current section carries the header in the same write. Caller
+     * holds mu_.
      */
     void appendToCache(const std::string &key, const MetricSet &m);
     static std::uint64_t fastDivisor();
-    /** @p kernelThreads nonzero overrides cfg.kernelThreads (the
-     *  sweep's share of the thread budget, see planThreadSplit). */
-    static MetricSet simulate(WorkloadId workload, const SimConfig &cfg,
-                              std::uint32_t presetCores = 0,
-                              std::uint32_t kernelThreads = 0);
+    /** The config a point runs: windows divided by CLOUDMC_FAST, and
+     *  @p kernelThreads (when nonzero: the sweep's share of the thread
+     *  budget, see planThreadSplit) in place of cfg.kernelThreads. */
+    static SimConfig runConfig(const SimConfig &cfg,
+                               std::uint32_t kernelThreads = 0);
     static MetricSet simulatePoint(const Point &p,
                                    std::uint32_t kernelThreads = 0);
 
     std::string cachePath_;
     bool cachingEnabled_ = true;
+    /** The cache file ends inside a section cacheHeader() opened. */
+    bool sectionOpen_ = false;
     std::mutex mu_; ///< Guards cache_, the counters, and the CSV append.
     std::map<std::string, MetricSet> cache_;
     std::uint64_t cacheHits_ = 0;

@@ -6,6 +6,47 @@
 
 namespace mcsim {
 
+const std::vector<MetricField> &
+metricFields()
+{
+    static const std::vector<MetricField> fields = {
+        {"user_ipc", &MetricSet::userIpc},
+        {"avg_read_latency", &MetricSet::avgReadLatency},
+        {"row_hit_rate_pct", &MetricSet::rowHitRatePct},
+        {"l2_mpki", &MetricSet::l2Mpki},
+        {"avg_read_queue", &MetricSet::avgReadQueue},
+        {"avg_write_queue", &MetricSet::avgWriteQueue},
+        {"bw_util_pct", &MetricSet::bwUtilPct},
+        {"single_access_pct", &MetricSet::singleAccessPct},
+        {"committed_instructions", &MetricSet::committedInstructions},
+        {"measured_cycles", &MetricSet::measuredCycles},
+        {"mem_reads", &MetricSet::memReads},
+        {"mem_writes", &MetricSet::memWrites},
+        {"ipc_disparity", &MetricSet::ipcDisparity},
+        {"dram_energy_nj", &MetricSet::dramEnergyNj},
+        {"dram_avg_power_mw", &MetricSet::dramAvgPowerMw},
+        {"read_latency_p50", &MetricSet::readLatencyP50},
+        {"read_latency_p95", &MetricSet::readLatencyP95},
+        {"read_latency_p99", &MetricSet::readLatencyP99},
+        {"weighted_speedup", &MetricSet::weightedSpeedup},
+        {"harmonic_speedup", &MetricSet::harmonicSpeedup},
+        {"max_slowdown", &MetricSet::maxSlowdown},
+        {"per_core_ipc", &MetricSet::perCoreIpc},
+        {"per_core_slowdown", &MetricSet::perCoreSlowdown},
+        {"same_group_cas_pct", &MetricSet::sameGroupCasPct},
+        {"vault_queue_imbalance", &MetricSet::vaultQueueImbalance},
+        {"remap_migrations", &MetricSet::remapMigrations},
+        {"remap_migrated_rows", &MetricSet::remapMigratedRows},
+        {"per_vault_read_queue", &MetricSet::perVaultReadQueue},
+        {"fast_tier_hit_pct", &MetricSet::fastTierHitPct},
+        {"slow_tier_read_latency_p99",
+         &MetricSet::slowTierReadLatencyP99},
+        {"tier_migrations", &MetricSet::tierMigrations},
+        {"tier_migrated_rows", &MetricSet::tierMigratedRows},
+    };
+    return fields;
+}
+
 bool
 deriveFairnessMetrics(MetricSet &shared,
                       const std::vector<AloneBaselineMetrics> &baselines)

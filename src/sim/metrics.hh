@@ -14,6 +14,7 @@
 #define CLOUDMC_SIM_METRICS_HH
 
 #include <cstdint>
+#include <variant>
 #include <vector>
 
 namespace mcsim {
@@ -26,9 +27,7 @@ struct MetricSet
     /** Mean DRAM read latency (controller arrival to last data beat),
      *  in core cycles. Figure 3's quantity. */
     double avgReadLatency = 0.0;
-    /** Read latency tail, in core cycles (log-bucket estimates).
-     *  Persisted in the experiment results cache since schema v2;
-     *  entries recalled from v1-era caches report 0 here. */
+    /** Read latency tail, in core cycles (log-bucket estimates). */
     double readLatencyP50 = 0.0;
     double readLatencyP95 = 0.0;
     double readLatencyP99 = 0.0;
@@ -47,15 +46,12 @@ struct MetricSet
      *  population the tCCD_L (rather than tCCD_S) spacing applies to.
      *  On single-group devices this degenerates to a same-rank
      *  back-to-back fraction (all of a rank's banks share the one
-     *  group). Persisted in the results cache since schema v5; older
-     *  rows report 0. */
+     *  group). */
     double sameGroupCasPct = 0.0;
     /** Activations receiving exactly one access, percent. Figure 8. */
     double singleAccessPct = 0.0;
 
-    /** Per-core IPC (for the ATLAS disparity analysis). Persisted in
-     *  the results cache since schema v4 (as a ';'-joined list);
-     *  entries recalled from older caches report an empty vector. */
+    /** Per-core IPC (for the ATLAS disparity analysis). */
     std::vector<double> perCoreIpc;
     /** Per-core committed instructions and elapsed core cycles over
      *  the window (the numerator/denominator behind perCoreIpc).
@@ -82,7 +78,6 @@ struct MetricSet
      *  - maxSlowdown      = max_i S_i      (the unfairness headline)
      *
      * All zero (and perCoreSlowdown empty) when no baselines were run.
-     * Persisted in the results cache since schema v4.
      */
     std::vector<double> perCoreSlowdown;
     double weightedSpeedup = 0.0;
@@ -98,9 +93,8 @@ struct MetricSet
     double dramAvgPowerMw = 0.0;
 
     /**
-     * Stacked-backend quantities (schema v6; flat-backend rows and
-     * entries recalled from older caches report zeros / an empty
-     * list). perVaultReadQueue is the mean read-queue occupancy of
+     * Stacked-backend quantities (zeros / an empty list on the flat
+     * backend). perVaultReadQueue is the mean read-queue occupancy of
      * every vault queue in global queue order; vaultQueueImbalance is
      * the hottest queue's occupancy over the all-queue mean (1.0 =
      * perfectly balanced, 0 when idle). The remap counters total the
@@ -113,14 +107,13 @@ struct MetricSet
     std::uint64_t remapMigratedRows = 0;
 
     /**
-     * Tiered-backend quantities (schema v7; non-tiered rows and
-     * entries recalled from older caches report zeros). fastTierHitPct
-     * is the percent of routed requests served by the fast tier (0
-     * when nothing was routed); slowTierReadLatencyP99 is the slow
-     * tier's read-latency tail in core cycles (0 when the slow tier
-     * served no reads); the migration counters total the window's
-     * tier migrations (tile swaps, or alloy-cache fills) and the rows
-     * they copied between tiers.
+     * Tiered-backend quantities (zeros on non-tiered configurations).
+     * fastTierHitPct is the percent of routed requests served by the
+     * fast tier (0 when nothing was routed); slowTierReadLatencyP99 is
+     * the slow tier's read-latency tail in core cycles (0 when the
+     * slow tier served no reads); the migration counters total the
+     * window's tier migrations (tile swaps, or alloy-cache fills) and
+     * the rows they copied between tiers.
      */
     double fastTierHitPct = 0.0;
     double slowTierReadLatencyP99 = 0.0;
@@ -139,6 +132,24 @@ struct MetricSet
         return memReads + memWrites;
     }
 };
+
+/**
+ * One persisted MetricSet field: its results-cache column name and
+ * the member it stores. The table of them (metricFields()) is the
+ * cache's column list, so adding a metric to the cache is one entry.
+ */
+struct MetricField
+{
+    const char *name;
+    std::variant<double MetricSet::*, std::uint64_t MetricSet::*,
+                 std::vector<double> MetricSet::*>
+        member;
+};
+
+/** Every persisted MetricSet field, in results-cache column order.
+ *  In-memory-only fields (perCoreCommitted, perCoreCycles) are not
+ *  listed. */
+const std::vector<MetricField> &metricFields();
 
 /**
  * One alone-run baseline covering a contiguous core range of a shared

@@ -1,338 +1,76 @@
 #include "options.hh"
 
-#include <cctype>
-#include <cstdlib>
+#include <algorithm>
 #include <sstream>
 
 #include "dram/devices.hh"
+#include "knobs.hh"
 
 namespace mcsim {
-
-namespace {
-
-/** Non-fatal name lookups (the factory variants are fatal-on-error). */
-
-bool
-findWorkload(const std::string &name, WorkloadId &out)
-{
-    for (auto w : kAllWorkloads) {
-        if (name == workloadAcronym(w)) {
-            out = w;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-findScheduler(const std::string &name, SchedulerKind &out)
-{
-    for (auto k : kAllSchedulers) {
-        if (name == schedulerKindName(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-findPolicy(const std::string &name, PagePolicyKind &out)
-{
-    for (auto k : kAllPagePolicies) {
-        if (name == pagePolicyKindName(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-findMapping(const std::string &name, MappingScheme &out)
-{
-    for (auto s : kExtendedMappingSchemes) {
-        if (name == mappingSchemeName(s)) {
-            out = s;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-parseUint(const std::string &text, std::uint64_t &out)
-{
-    // Digits only: strtoull would silently wrap "-1" to 2^64-1.
-    if (text.empty() ||
-        !std::isdigit(static_cast<unsigned char>(text[0]))) {
-        return false;
-    }
-    char *end = nullptr;
-    out = std::strtoull(text.c_str(), &end, 10);
-    return end && *end == '\0';
-}
-
-} // namespace
 
 std::string
 ExperimentOptions::parse(int argc, char **argv)
 {
-    const auto need = [&](int &i) -> const char * {
-        return i + 1 < argc ? argv[++i] : nullptr;
+    const auto flagError = [](const std::string &flag,
+                              const std::string &err) {
+        return flag + ": " + err;
     };
-
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--help" || arg == "-h") {
             helpRequested = true;
-        } else if (arg == "--list") {
+            continue;
+        }
+        if (arg == "--list") {
             listRequested = true;
-        } else if (arg == "--csv") {
+            continue;
+        }
+        if (arg == "--csv") {
             csv = true;
-        } else if (arg == "--fairness") {
-            fairness = true;
-            if (hasSpec)
-                spec.fairness = true;
-        } else if (arg == "--workload") {
-            const char *v = need(i);
-            if (!v || !findWorkload(v, workload))
-                return "unknown workload for --workload";
-            if (hasSpec)
-                spec.workloads = {workload};
-        } else if (arg == "--scheduler") {
-            const char *v = need(i);
-            if (!v || !findScheduler(v, config.scheduler))
-                return "unknown scheduler for --scheduler";
-            if (hasSpec)
-                spec.schedulers = {config.scheduler};
-        } else if (arg == "--policy") {
-            const char *v = need(i);
-            if (!v || !findPolicy(v, config.pagePolicy))
-                return "unknown page policy for --policy";
-            if (hasSpec)
-                spec.policies = {config.pagePolicy};
-        } else if (arg == "--mapping") {
-            const char *v = need(i);
-            if (!v || !findMapping(v, config.mapping))
-                return "unknown mapping scheme for --mapping";
-            if (hasSpec)
-                spec.mappings = {config.mapping};
-        } else if (arg == "--group-mapping") {
-            const char *v = need(i);
-            if (!v ||
-                !tryBankGroupMappingFromName(v, config.bankGroupMapping))
-                return "unknown bank-group mapping for --group-mapping";
-            if (hasSpec)
-                spec.groupMappings = {config.bankGroupMapping};
-        } else if (arg == "--device") {
-            const char *v = need(i);
-            const DramDevice *dev = v ? findDramDevice(v) : nullptr;
-            if (!dev)
-                return "unknown DRAM device for --device (try --list)";
-            config.applyDevice(*dev);
-            if (hasSpec)
-                spec.devices = {dev->name};
-        } else if (arg == "--config") {
-            const char *v = need(i);
-            if (!v)
-                return "--config needs a spec file path";
-            const std::string err = loadExperimentSpec(v, spec);
-            if (!err.empty())
-                return "spec '" + std::string(v) + "': " + err;
-            hasSpec = true;
-            // Scalar keys of the spec shape the single-point config
-            // too; later flags may still override them.
-            config = spec.base;
-            if (spec.workloads.size() == 1)
-                workload = spec.workloads.front();
-            if (spec.fairness)
-                fairness = true;
-            else if (fairness)
-                spec.fairness = true; // --fairness before --config.
-        } else if (arg == "--backend") {
-            const char *v = need(i);
-            const std::string kind = v ? v : "";
-            if (kind == "stacked") {
-                // Selecting the stacked backend on a flat configuration
-                // means "give me the stacked reference part".
-                if (config.dram.vaultsPerStack == 0)
-                    config.applyDevice(dramDeviceOrDie("HMC2-8GB"));
-                if (hasSpec) {
-                    for (const std::string &d : spec.devices) {
-                        if (dramDeviceOrDie(d).geometry.vaultsPerStack ==
-                            0) {
-                            return "--backend stacked conflicts with "
-                                   "flat device '" +
-                                   d + "' in the sweep";
-                        }
-                    }
-                    if (spec.devices.empty())
-                        spec.devices = {config.deviceName};
-                    spec.hasBackend = true;
-                    spec.backendKind = MemBackendKind::StackedDram;
-                }
-            } else if (kind == "flat") {
-                if (config.dram.vaultsPerStack != 0)
-                    return "--backend flat conflicts with stacked "
-                           "device '" +
-                           config.deviceName +
-                           "' (pick a flat part with --device)";
-                if (hasSpec) {
-                    for (const std::string &d : spec.devices) {
-                        if (dramDeviceOrDie(d).geometry.vaultsPerStack >
-                            0) {
-                            return "--backend flat conflicts with "
-                                   "stacked device '" +
-                                   d + "' in the sweep";
-                        }
-                    }
-                    spec.hasBackend = true;
-                    spec.backendKind = MemBackendKind::FlatDram;
-                }
-            } else {
-                return "--backend must be 'flat' or 'stacked'";
-            }
-        } else if (arg == "--vaults") {
-            const char *v = need(i);
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n) || n == 0 || !isPowerOf2(n))
-                return "--vaults needs a power-of-two count";
-            if (config.dram.vaultsPerStack == 0)
-                return "--vaults applies to the stacked backend only "
-                       "(put --backend stacked or a stacked --device "
-                       "first)";
-            config.setVaults(static_cast<std::uint32_t>(n));
-            if (hasSpec)
-                spec.vaultCounts = {config.dram.vaultsPerStack};
-        } else if (arg == "--remap") {
-            const char *v = need(i);
-            const std::string mode = v ? v : "";
-            if (mode != "on" && mode != "off")
-                return "--remap must be 'on' or 'off'";
-            if (config.dram.vaultsPerStack == 0)
-                return "--remap applies to the stacked backend only "
-                       "(put --backend stacked or a stacked --device "
-                       "first)";
-            config.remap.enabled = mode == "on";
-            if (hasSpec) {
-                spec.hasRemap = true;
-                spec.base.remap.enabled = config.remap.enabled;
-            }
-        } else if (arg == "--tier") {
-            const char *v = need(i);
-            const std::string mode = v ? v : "";
-            if (mode != "on" && mode != "off")
-                return "--tier must be 'on' or 'off'";
-            config.tier.enabled = mode == "on";
-            if (hasSpec) {
-                spec.hasTier = true;
-                spec.base.tier.enabled = config.tier.enabled;
-            }
-        } else if (arg == "--tier-policy") {
-            const char *v = need(i);
-            if (!v || !tryTierPolicyFromName(v, config.tier.policy))
-                return "--tier-policy must be 'static_split', "
-                       "'hotness_based', or 'alloy_cache'";
-            if (!config.tier.enabled)
-                return "--tier-policy applies to the tiered backend "
-                       "only (put --tier on first)";
-            if (hasSpec)
-                spec.base.tier.policy = config.tier.policy;
-        } else if (arg == "--tier-latency") {
-            const char *v = need(i);
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n) || n > 1'000'000)
-                return "--tier-latency needs a DRAM cycle count in "
-                       "[0, 1000000]";
-            if (!config.tier.enabled)
-                return "--tier-latency applies to the tiered backend "
-                       "only (put --tier on first)";
-            config.tier.slowLatencyDramCycles =
-                static_cast<std::uint32_t>(n);
-            if (hasSpec)
-                spec.base.tier.slowLatencyDramCycles =
-                    config.tier.slowLatencyDramCycles;
-        } else if (arg == "--tier-bw") {
-            const char *v = need(i);
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n) || n == 0 || n > 100)
-                return "--tier-bw needs a percentage in [1, 100]";
-            if (!config.tier.enabled)
-                return "--tier-bw applies to the tiered backend only "
-                       "(put --tier on first)";
-            config.tier.slowBwPct = static_cast<std::uint32_t>(n);
-            if (hasSpec)
-                spec.base.tier.slowBwPct = config.tier.slowBwPct;
-        } else if (arg == "--tier-capacity-pct") {
-            const char *v = need(i);
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n) || n == 0 || n > 100)
-                return "--tier-capacity-pct needs a percentage in "
-                       "[1, 100]";
-            if (!config.tier.enabled)
-                return "--tier-capacity-pct applies to the tiered "
-                       "backend only (put --tier on first)";
-            config.tier.fastCapacityPct = static_cast<std::uint32_t>(n);
-            if (hasSpec)
-                spec.base.tier.fastCapacityPct =
-                    config.tier.fastCapacityPct;
-        } else if (arg == "--channels") {
-            const char *v = need(i);
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n) || n == 0 || !isPowerOf2(n))
-                return "--channels needs a power-of-two count";
-            config.dram.channels = static_cast<std::uint32_t>(n);
-            if (hasSpec)
-                spec.channelCounts = {config.dram.channels};
-        } else if (arg == "--warmup") {
-            const char *v = need(i);
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n))
-                return "--warmup needs a cycle count";
-            config.warmupCoreCycles = n;
-        } else if (arg == "--measure") {
-            const char *v = need(i);
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n) || n == 0)
-                return "--measure needs a nonzero cycle count";
-            config.measureCoreCycles = n;
-        } else if (arg == "--kernel-threads") {
-            const char *v = need(i);
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n) || n == 0 || n > 1024)
-                return "--kernel-threads needs a count in [1, 1024]";
-            config.kernelThreads = static_cast<std::uint32_t>(n);
-        } else if (arg == "--seed") {
-            const char *v = need(i);
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n))
-                return "--seed needs a number";
-            config.seed = n;
-        } else if (arg == "--fast") {
-            const char *v = need(i);
-            std::uint64_t n = 0;
-            if (!v || !parseUint(v, n) || n == 0)
-                return "--fast needs a nonzero divisor";
-            config.warmupCoreCycles /= n;
-            config.measureCoreCycles =
-                std::max<std::uint64_t>(config.measureCoreCycles / n,
-                                        100'000);
-        } else if (arg.rfind("--", 0) == 0) {
-            return "unknown flag '" + arg + "'";
-        } else {
+            continue;
+        }
+        if (arg.rfind("--", 0) != 0) {
             // A bare acronym selects the workload; anything else stays
             // positional for the tool to interpret.
-            WorkloadId w;
-            if (findWorkload(arg, w)) {
-                workload = w;
-                if (hasSpec)
-                    spec.workloads = {w};
-            } else {
+            if (!spec.set("workload", arg).empty())
                 positional.push_back(arg);
-            }
+            continue;
         }
+
+        std::string key = arg.substr(2);
+        std::replace(key.begin(), key.end(), '-', '_');
+        const Knob *knob = findKnob(key);
+        if (!knob && key != "config" && key != "fast")
+            return "unknown flag '" + arg + "'";
+        const bool bare = knob && knob->bareFlag;
+        if (!bare && i + 1 == argc)
+            return arg + " needs a value";
+        const std::string value = bare ? knob->bareFlag : argv[++i];
+
+        std::string err;
+        if (knob) {
+            err = spec.set(knob->key, value);
+        } else if (key == "config") {
+            err = applySpecFile(value, spec);
+            hasSpec = true;
+        } else {
+            std::uint64_t divisor = 0;
+            if (!parseUint(value, divisor) || divisor == 0)
+                err = "needs a nonzero divisor, got '" + value + "'";
+            else
+                spec.base.shortenWindows(divisor);
+        }
+        if (!err.empty())
+            return flagError(arg, err);
     }
+
+    const std::string err = spec.finish();
+    if (!err.empty())
+        return err;
+    config = spec.base;
+    if (spec.workloads.size() == 1)
+        workload = spec.workloads.front();
+    fairness = spec.fairness;
     return {};
 }
 
@@ -389,18 +127,20 @@ ExperimentOptions::usage(const std::string &tool)
 {
     std::ostringstream out;
     out << "usage: " << tool
-        << " [workload] [--workload W] [--scheduler S] [--policy P]\n"
-        << "       [--mapping M] [--group-mapping G] [--device D] "
-           "[--config SPEC]\n"
-        << "       [--backend flat|stacked] [--vaults N] [--remap "
-           "on|off]\n"
-        << "       [--tier on|off] [--tier-policy "
-           "static_split|hotness_based|alloy_cache]\n"
-        << "       [--tier-latency C] [--tier-bw PCT] "
-           "[--tier-capacity-pct PCT]\n"
-        << "       [--channels N] [--warmup C] [--measure C] [--seed N] "
-           "[--fast D]\n"
-        << "       [--kernel-threads N] [--csv] [--fairness] [--list]\n\n";
+        << " [workload] [--KEY VALUE ...] [--config SPEC] [--fast D]\n"
+        << "       [--csv] [--list] [--help]\n\n"
+        << "Every knob below is a spec-file key (key = value) and a "
+           "flag (--key value,\n"
+        << "'-' for '_'). Axis knobs take comma-separated lists and "
+           "expand a sweep.\n\n"
+        << knobHelpText()
+        << "\nOther flags:\n"
+        << "  --config SPEC   apply a spec file's keys here; later flags "
+           "override them\n"
+        << "  --fast D        divide the warmup/measure windows by D "
+           "(>= 100000 measured)\n"
+        << "  --csv           CSV output\n"
+        << "  --list          every legal name, below\n\n";
     out << listText();
     return out.str();
 }

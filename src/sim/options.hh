@@ -1,11 +1,10 @@
 /**
  * @file
  * Command-line configuration for the examples and one-off experiment
- * runs: parse `--scheduler/--policy/--channels/--mapping/--workload/
- * --device/--config/--warmup/--measure/--seed/--fast` style arguments
- * onto a SimConfig, a workload selection and (optionally) a sweep
- * spec, with generated usage/--list text. Keeps every tool's flag
- * vocabulary identical.
+ * runs: every knob of the knob table (sim/knobs.hh) is a flag
+ * (`--key value`, '-' for '_'), applied to the same ExperimentSpec a
+ * spec file fills, with generated --help/--list text. Keeps every
+ * tool's flag vocabulary identical to the spec-file keys.
  */
 
 #ifndef CLOUDMC_SIM_OPTIONS_HH
@@ -36,48 +35,26 @@ struct ExperimentOptions
     bool helpRequested = false;
     /** Set when --list was requested; print listText() and exit. */
     bool listRequested = false;
-    /** Sweep spec loaded by --config (valid when hasSpec). Its base
-     *  configuration is also merged into `config`, so tools that only
-     *  run one point still honor the file's scalar keys. */
+    /** The knobs set by flags and --config files; `config` is its
+     *  base. hasSpec records that a --config file was loaded. */
     ExperimentSpec spec;
     bool hasSpec = false;
 
     /**
      * Parse argv (excluding argv[0]). Returns an empty string on
      * success, or a one-line error describing the offending argument.
-     * Recognized flags:
-     *   --workload <acronym>      (also accepted as a positional)
-     *   --scheduler <name>        FR-FCFS, FCFS, FCFS_banks, PAR-BS,
-     *                             ATLAS, RL, FQM, TCM, STFM
-     *   --policy <name>           OpenAdaptive, CloseAdaptive, RBPP,
-     *                             ABPP, Open, Close, Timer, History
-     *   --mapping <name>          RoRaBaCoCh, ..., PermBaXor, ...
-     *   --group-mapping <name>    GroupInterleaved | GroupPacked
-     *                             (bank-group bit placement)
-     *   --device <name>           DRAM device registry name
-     *   --config <file>           key=value experiment spec (sweeps)
-     *   --backend <flat|stacked>  memory backend; `stacked` on a flat
-     *                             configuration selects the HMC2-8GB
-     *                             registry entry
-     *   --vaults <n>              stacked only: capacity-preserving
-     *                             vault-count override (power of two)
-     *   --remap <on|off>          stacked only: dynamic hot-bank
-     *                             vault remapping
-     *   --channels <1|2|4|...>
-     *   --warmup <core cycles>    --measure <core cycles>
-     *   --seed <n>                --fast <divisor>   --csv
-     *   --fairness                alone-run slowdown/fairness metrics
-     *   --list                    --help
-     * Flags apply in order: an axis flag after `--config` (e.g.
-     * `--config sweep.spec --device DDR4-2400`) collapses that axis of
-     * the loaded sweep to the flag's single value, and also shapes the
-     * single-point `config`. Scalar flags (--warmup/--measure/--seed/
-     * --fast) land in `config`; sweep runners should re-seat the
-     * spec's base on it (see run_experiment) so they apply there too.
+     * `usage()` lists every flag. Flags and `--config <file>` lines
+     * apply to `spec` in order, so a later axis flag collapses that
+     * axis of a loaded sweep to its value; the scope checks run once
+     * all arguments are read. `config` is then the spec's base (every
+     * single-valued axis applied) and `workload` its single workload.
+     * A bare workload acronym is the workload knob; other positional
+     * arguments are kept. `--fast <divisor>` shortens the windows set
+     * so far.
      */
     std::string parse(int argc, char **argv);
 
-    /** Usage text listing every flag and legal value. */
+    /** Usage text: every knob flag and spec key, then listText(). */
     static std::string usage(const std::string &tool);
 
     /** The --list payload: every scheduler, page policy, mapping,

@@ -7,6 +7,7 @@
 #ifndef CLOUDMC_SIM_SIM_CONFIG_HH
 #define CLOUDMC_SIM_SIM_CONFIG_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -77,8 +78,8 @@ struct SimConfig
      * across min(kernelThreads-1, channels)+1 worker threads. Results
      * are bit-identical at any value (the epoch/barrier contract in
      * the README), so this knob is deliberately NOT part of the
-     * results-cache key or the params hash. ExperimentRunner::runAll
-     * overrides it per point from the sweep's shared thread budget.
+     * results-cache key. ExperimentRunner::runAll overrides it per
+     * point from the sweep's shared thread budget.
      */
     std::uint32_t kernelThreads = 1;
 
@@ -142,6 +143,17 @@ struct SimConfig
                   "vault count");
         dram.rowsPerBank = dram.rowsPerBank * dram.vaultsPerStack / vaults;
         dram.vaultsPerStack = vaults;
+    }
+
+    /** Divide the warmup/measure windows by @p divisor for a quick
+     *  smoke run (CLOUDMC_FAST, --fast), keeping at least 100k
+     *  measured cycles. */
+    void
+    shortenWindows(std::uint64_t divisor)
+    {
+        warmupCoreCycles /= divisor;
+        measureCoreCycles =
+            std::max<std::uint64_t>(measureCoreCycles / divisor, 100'000);
     }
 
     /** Change the core frequency, re-deriving the tick grid. */

@@ -9,10 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <map>
 #include <string>
 
+#include "mem/address_mapping.hh"
+#include "mem/factory.hh"
 #include "sim/experiment.hh"
+#include "sim/knobs.hh"
+#include "sim/spec.hh"
 #include "sim/system.hh"
 #include "workload/synthetic.hh"
 
@@ -36,17 +42,63 @@ tinyConfig()
     return cfg;
 }
 
+/** Sets CLOUDMC_FAST (unsets it for nullptr) for one scope. */
+class FastDivisorScope
+{
+  public:
+    explicit FastDivisorScope(const char *value)
+    {
+        if (const char *env = std::getenv("CLOUDMC_FAST"))
+            saved_ = env;
+        set(value);
+    }
+    ~FastDivisorScope() { set(saved_.empty() ? nullptr : saved_.c_str()); }
+
+    static void
+    set(const char *value)
+    {
+        if (value)
+            setenv("CLOUDMC_FAST", value, 1);
+        else
+            unsetenv("CLOUDMC_FAST");
+    }
+
+  private:
+    std::string saved_;
+};
+
+/** The key of the first point of @p spec. */
+std::string
+specKey(const ExperimentSpec &spec)
+{
+    const ExperimentRunner::Point p = spec.points().front();
+    return ExperimentRunner::configKey(p.workload, p.cfg);
+}
+
 } // namespace
 
 TEST(ExperimentCache, CorruptLinesAreIgnored)
 {
     const std::string path = tempCachePath("corrupt");
+    // Full-width rows with this point's key but one bad field each: a
+    // negative count, a non-number in a list, one field too many.
+    const std::string key =
+        ExperimentRunner::configKey(WorkloadId::WS, tinyConfig());
+    const std::string head = key + ",1.5,100,30,5,1,2,10,20,";
+    const std::string tail = ",2000,30,40,0.9,5000,120,55,77,99,1.1,1.2,"
+                             "1.3,,,42.5,0.25,3,7,,50,60,1,2";
     {
         std::ofstream out(path);
+        out << ExperimentRunner::cacheHeader() << '\n';
         out << "not a csv line at all\n";
         out << "key-without-values,\n";
         out << "half,1.0,2.0\n";
         out << "\n";
+        out << head << "-1000" << tail << '\n';
+        out << head << "1000" << tail << ",9\n";
+        out << key << ",1.5,100,30,5,1,2,10,20,1000,2000,30,40,0.9,5000,"
+                      "120,55,77,99,1.1,1.2,1.3,1;x,,42.5,0.25,3,7,,50,60,"
+                      "1,2\n";
     }
     ExperimentRunner runner(path);
     const MetricSet m = runner.run(WorkloadId::WS, tinyConfig());
@@ -60,12 +112,14 @@ TEST(ExperimentCache, CorruptLinesAreIgnored)
 TEST(ExperimentCache, OldFormatRowsResimulate)
 {
     // A row with the key of a current configuration but too few value
-    // fields (a pre-energy-model cache) must be dropped, not half-read.
+    // fields must be dropped, not half-read, even inside a section
+    // opened by the current header.
     const std::string path = tempCachePath("oldformat");
     const SimConfig cfg = tinyConfig();
     const std::string key = ExperimentRunner::configKey(WorkloadId::WS, cfg);
     {
         std::ofstream out(path);
+        out << ExperimentRunner::cacheHeader() << '\n';
         out << key << ",1.5,100,30,5,1,10,20,80,1000,2000,30,40\n";
     }
     ExperimentRunner runner(path);
@@ -104,7 +158,7 @@ TEST(ExperimentCache, EnergyFieldsRoundtrip)
 
 TEST(ExperimentCache, LatencyPercentilesRoundtrip)
 {
-    // Schema v2 persists the read-latency percentiles; a reloaded
+    // The cache persists the read-latency percentiles; a reloaded
     // entry must carry them instead of silently reporting 0.
     const std::string path = tempCachePath("percentiles");
     std::remove(path.c_str());
@@ -128,31 +182,6 @@ TEST(ExperimentCache, LatencyPercentilesRoundtrip)
         EXPECT_NEAR(cached.readLatencyP99, fresh.readLatencyP99,
                     1e-5 * fresh.readLatencyP99);
     }
-    std::remove(path.c_str());
-}
-
-TEST(ExperimentCache, V1RowsStillLoadWithZeroPercentiles)
-{
-    // Pre-percentile (15-field) rows remain valid cache entries; only
-    // the percentile fields default to 0.
-    const std::string path = tempCachePath("v1row");
-    const SimConfig cfg = tinyConfig();
-    const std::string key =
-        ExperimentRunner::configKey(WorkloadId::WS, cfg);
-    {
-        std::ofstream out(path);
-        out << key
-            << ",1.5,100,30,5,1,2,10,20,1000,2000,30,40,0.9,5000,120\n";
-    }
-    ExperimentRunner runner(path);
-    const MetricSet m = runner.run(WorkloadId::WS, cfg);
-    EXPECT_EQ(runner.simulationsRun(), 0u);
-    EXPECT_EQ(runner.cacheHits(), 1u);
-    EXPECT_DOUBLE_EQ(m.userIpc, 1.5);
-    EXPECT_DOUBLE_EQ(m.dramAvgPowerMw, 120.0);
-    EXPECT_DOUBLE_EQ(m.readLatencyP50, 0.0);
-    EXPECT_DOUBLE_EQ(m.readLatencyP95, 0.0);
-    EXPECT_DOUBLE_EQ(m.readLatencyP99, 0.0);
     std::remove(path.c_str());
 }
 
@@ -316,11 +345,14 @@ TEST(ExperimentParallel, CacheFileHasNoPartialLines)
         ExperimentRunner runner(path);
         (void)runner.runAll(tinySweep(), 4);
     }
-    // Every record must parse back; a fresh runner recalls all four.
+    // The header opens the file, then one record per point; every
+    // record must parse back, so a fresh runner recalls all four.
     std::ifstream in(path);
     ASSERT_TRUE(in.is_open());
-    std::size_t lines = 0;
     std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    EXPECT_EQ(line, ExperimentRunner::cacheHeader());
+    std::size_t lines = 0;
     while (std::getline(in, line)) {
         ++lines;
         EXPECT_NE(line.find(','), std::string::npos);
@@ -403,44 +435,10 @@ TEST(ExperimentCache, KeyFingerprintsFullParameterSet)
                                               SimConfig::baseline()));
 }
 
-TEST(ExperimentCache, PreParamsHashKeysMigrateToBaselineRow)
-{
-    // Schema v1-v3 keys lack the trailing parameter-hash segment; on
-    // load they migrate to the baseline parameter set's fingerprint
-    // (the only set the old benches could cache unambiguously) and
-    // still satisfy a baseline-parameter lookup — but never one with
-    // tuned parameters.
-    const std::string path = tempCachePath("paramsmigrate");
-    const SimConfig cfg = tinyConfig();
-    std::string key = ExperimentRunner::configKey(WorkloadId::WS, cfg);
-    const std::size_t tag = key.rfind("|p");
-    ASSERT_NE(tag, std::string::npos);
-    key.resize(tag); // Strip the v4 segment: a v3-format key.
-    {
-        std::ofstream out(path);
-        out << key
-            << ",1.5,100,30,5,1,2,10,20,1000,2000,30,40,0.9,5000,120,"
-               "55,77,99\n";
-    }
-    ExperimentRunner runner(path);
-    const MetricSet hit = runner.run(WorkloadId::WS, cfg);
-    EXPECT_EQ(runner.simulationsRun(), 0u);
-    EXPECT_EQ(runner.cacheHits(), 1u);
-    EXPECT_DOUBLE_EQ(hit.userIpc, 1.5);
-    EXPECT_DOUBLE_EQ(hit.readLatencyP99, 99.0);
-
-    // Tuned parameters miss the migrated row and re-simulate.
-    SimConfig tuned = cfg;
-    tuned.schedulerParams.stfm.alpha = 5.0;
-    (void)runner.run(WorkloadId::WS, tuned);
-    EXPECT_EQ(runner.simulationsRun(), 1u);
-    std::remove(path.c_str());
-}
-
 TEST(ExperimentCache, FairnessColumnsRoundtrip)
 {
-    // Schema v4 rows carry the fairness scalars and the per-core IPC /
-    // slowdown lists; a reloaded entry must reproduce them.
+    // Rows carry the fairness scalars and the per-core IPC / slowdown
+    // lists; a reloaded entry must reproduce them.
     const std::string path = tempCachePath("v4roundtrip");
     std::remove(path.c_str());
     SimConfig cfg = tinyConfig();
@@ -479,9 +477,9 @@ TEST(ExperimentCache, FairnessColumnsRoundtrip)
 
 TEST(ExperimentCache, KeySeparatesBankGroupAxes)
 {
-    // Schema v5: the bank-group count and the group-mapping option are
-    // part of the key, so a grouped-timing run can never alias a row
-    // simulated under the single-tCCD model or the other placement.
+    // The bank-group count and the group-mapping option are part of
+    // the key, so a grouped-timing run can never alias a row simulated
+    // under the single-group model or the other placement.
     const SimConfig base = SimConfig::baseline();
     SimConfig ddr4 = base;
     ddr4.applyDevice(dramDeviceOrDie("DDR4-2400"));
@@ -495,10 +493,8 @@ TEST(ExperimentCache, KeySeparatesBankGroupAxes)
     const auto k4p =
         ExperimentRunner::configKey(WorkloadId::DS, ddr4Packed);
     const auto k5 = ExperimentRunner::configKey(WorkloadId::DS, ddr5);
-    EXPECT_NE(kb.find("|bg=1i"), std::string::npos) << kb;
-    EXPECT_NE(k4.find("|bg=4i"), std::string::npos) << k4;
-    EXPECT_NE(k4p.find("|bg=4p"), std::string::npos) << k4p;
-    EXPECT_NE(k5.find("|bg=8i"), std::string::npos) << k5;
+    EXPECT_NE(kb, k4);
+    EXPECT_NE(k4, k5);
     EXPECT_NE(k4, k4p);
 
     // On a single-group device the two placements are the same
@@ -509,47 +505,10 @@ TEST(ExperimentCache, KeySeparatesBankGroupAxes)
                                               basePacked));
 }
 
-TEST(ExperimentCache, V4KeysMigrateToSingleGroupFingerprint)
-{
-    // A v4-format row — key with device + params-hash segments but no
-    // bank-group segment, 23 value columns — must load, satisfy a
-    // baseline (single-group) lookup with sameGroupCasPct zeroed, and
-    // never satisfy a grouped-device lookup.
-    const std::string path = tempCachePath("v4migrate");
-    const SimConfig cfg = tinyConfig();
-    std::string key = ExperimentRunner::configKey(WorkloadId::WS, cfg);
-    const std::size_t bg = key.find("|bg=1i");
-    ASSERT_NE(bg, std::string::npos);
-    key.erase(bg, 6); // Strip the v5 segment...
-    const std::size_t be = key.find("|be=flat");
-    ASSERT_NE(be, std::string::npos);
-    key.erase(be, 8); // ...and the v6 segment: a v4-format key.
-    {
-        std::ofstream out(path);
-        out << key
-            << ",1.5,100,30,5,1,2,10,20,1000,2000,30,40,0.9,5000,120,"
-               "55,77,99,1.1,1.2,1.3,,\n";
-    }
-    ExperimentRunner runner(path);
-    const MetricSet hit = runner.run(WorkloadId::WS, cfg);
-    EXPECT_EQ(runner.simulationsRun(), 0u);
-    EXPECT_EQ(runner.cacheHits(), 1u);
-    EXPECT_DOUBLE_EQ(hit.userIpc, 1.5);
-    EXPECT_DOUBLE_EQ(hit.weightedSpeedup, 1.1);
-    EXPECT_DOUBLE_EQ(hit.sameGroupCasPct, 0.0); // Pre-v5 column.
-
-    // The same point on a grouped device misses and re-simulates.
-    SimConfig ddr4 = cfg;
-    ddr4.applyDevice(dramDeviceOrDie("DDR4-2400"));
-    (void)runner.run(WorkloadId::WS, ddr4);
-    EXPECT_EQ(runner.simulationsRun(), 1u);
-    std::remove(path.c_str());
-}
-
 TEST(ExperimentCache, SameGroupCasColumnRoundtrips)
 {
-    // Schema v5 rows persist sameGroupCasPct; a reloaded entry must
-    // reproduce it (single-group baseline: every CAS follows a CAS in
+    // Rows persist sameGroupCasPct; a reloaded entry must reproduce
+    // it (single-group baseline: every CAS follows a CAS in
     // the only group, so the value is large and nonzero).
     const std::string path = tempCachePath("v5roundtrip");
     std::remove(path.c_str());
@@ -572,9 +531,9 @@ TEST(ExperimentCache, SameGroupCasColumnRoundtrips)
 
 TEST(ExperimentCache, KeySeparatesBackends)
 {
-    // Schema v6: the memory backend (and, stacked, the vault geometry
-    // plus the remap flag) is part of the key, so a stacked-backend
-    // run can never alias a row simulated under the flat JEDEC model.
+    // The memory backend (and, stacked, the vault geometry plus the
+    // remap flag) is part of the key, so a stacked-backend run can
+    // never alias a row simulated under the flat JEDEC model.
     const SimConfig base = SimConfig::baseline();
     SimConfig hmc = base;
     hmc.applyDevice(dramDeviceOrDie("HMC2-8GB"));
@@ -588,67 +547,26 @@ TEST(ExperimentCache, KeySeparatesBackends)
     const auto k8 = ExperimentRunner::configKey(WorkloadId::DS, hmc8);
     const auto kr =
         ExperimentRunner::configKey(WorkloadId::DS, hmcRemap);
-    EXPECT_NE(kb.find("|be=flat"), std::string::npos) << kb;
-    EXPECT_NE(kh.find("|be=st16v8b|"), std::string::npos) << kh;
-    EXPECT_NE(k8.find("|be=st8v8b|"), std::string::npos) << k8;
-    EXPECT_NE(kr.find("|be=st16v8br|"), std::string::npos) << kr;
+    EXPECT_NE(kb, kh);
     EXPECT_NE(kh, k8);
     EXPECT_NE(kh, kr);
 
-    // Remap *tuning* changes the parameter hash even though the
-    // readable segment only carries the on/off flag.
+    // Remap *tuning* (a code-only tunable) changes the key too.
     SimConfig tuned = hmcRemap;
     tuned.remap.hotFactor = 8.0;
     EXPECT_NE(kr, ExperimentRunner::configKey(WorkloadId::DS, tuned));
-    // And the remap knobs are hashed only on the stacked backend, so
-    // flat keys are byte-identical whatever the dormant struct holds.
+    // And the remap knobs are keyed only on the stacked backend, so
+    // flat keys are identical whatever the dormant struct holds.
     SimConfig flatTuned = base;
     flatTuned.remap.hotFactor = 8.0;
     EXPECT_EQ(kb, ExperimentRunner::configKey(WorkloadId::DS, flatTuned));
 }
 
-TEST(ExperimentCache, V5KeysMigrateToFlatFingerprint)
-{
-    // A v5-format row — key without the backend segment, 24 value
-    // columns — must load, satisfy a flat-backend lookup with the
-    // stacked columns zeroed, and never satisfy a stacked lookup.
-    const std::string path = tempCachePath("v5migrate");
-    const SimConfig cfg = tinyConfig();
-    std::string key = ExperimentRunner::configKey(WorkloadId::WS, cfg);
-    const std::size_t be = key.find("|be=flat");
-    ASSERT_NE(be, std::string::npos);
-    key.erase(be, 8); // Strip the v6 segment: a v5-format key.
-    {
-        std::ofstream out(path);
-        out << key
-            << ",1.5,100,30,5,1,2,10,20,1000,2000,30,40,0.9,5000,120,"
-               "55,77,99,1.1,1.2,1.3,,,42.5\n";
-    }
-    ExperimentRunner runner(path);
-    const MetricSet hit = runner.run(WorkloadId::WS, cfg);
-    EXPECT_EQ(runner.simulationsRun(), 0u);
-    EXPECT_EQ(runner.cacheHits(), 1u);
-    EXPECT_DOUBLE_EQ(hit.userIpc, 1.5);
-    EXPECT_DOUBLE_EQ(hit.sameGroupCasPct, 42.5);
-    // Pre-v6 columns default to empty/zero.
-    EXPECT_TRUE(hit.perVaultReadQueue.empty());
-    EXPECT_EQ(hit.remapMigrations, 0u);
-    EXPECT_DOUBLE_EQ(hit.vaultQueueImbalance, 0.0);
-
-    // The same point on the stacked backend misses and re-simulates.
-    SimConfig hmc = cfg;
-    hmc.applyDevice(dramDeviceOrDie("HMC2-8GB"));
-    hmc.setVaults(4);
-    (void)runner.run(WorkloadId::WS, hmc);
-    EXPECT_EQ(runner.simulationsRun(), 1u);
-    std::remove(path.c_str());
-}
-
 TEST(ExperimentCache, StackedColumnsRoundtrip)
 {
-    // Schema v6 rows persist the per-vault occupancy list, the
-    // imbalance scalar and the remap counters; a reloaded stacked row
-    // must reproduce all of them.
+    // Rows persist the per-vault occupancy list, the imbalance scalar
+    // and the remap counters; a reloaded stacked row must reproduce
+    // all of them.
     const std::string path = tempCachePath("v6roundtrip");
     std::remove(path.c_str());
     SimConfig cfg = tinyConfig();
@@ -685,8 +603,8 @@ TEST(ExperimentCache, StackedColumnsRoundtrip)
 
 TEST(ExperimentCache, KeySeparatesDevicesAndClocks)
 {
-    // Schema v3: two devices (or two core clocks) must never alias to
-    // one cached row — before the device axis existed they would have.
+    // Two devices (or two core clocks) must never alias to one cached
+    // row.
     const SimConfig base = SimConfig::baseline();
     SimConfig ddr4 = base;
     ddr4.applyDevice(dramDeviceOrDie("DDR4-2400"));
@@ -702,74 +620,13 @@ TEST(ExperimentCache, KeySeparatesDevicesAndClocks)
     // LPDDR3-1600 shares DDR3-1600's bus clock; only the name differs.
     EXPECT_NE(ExperimentRunner::configKey(WorkloadId::DS, ddr4),
               ExperimentRunner::configKey(WorkloadId::DS, lp));
-    EXPECT_NE(kb.find("dev=DDR3-1600@2000:800"), std::string::npos);
-}
-
-TEST(ExperimentCache, LegacyKeysLoadAsBaselineDevice)
-{
-    // v1/v2-era rows had no device segment; everything they recorded
-    // ran the DDR3-1600 baseline, so they migrate to that key instead
-    // of being dropped — and never satisfy a different device.
-    const std::string path = tempCachePath("legacykey");
-    const SimConfig cfg = tinyConfig();
-    std::string key = ExperimentRunner::configKey(WorkloadId::WS, cfg);
-    const std::size_t tag = key.find("|dev=");
-    ASSERT_NE(tag, std::string::npos);
-    key.resize(tag); // Strip the v3 segment: a legacy-format key.
-    {
-        std::ofstream out(path);
-        out << key
-            << ",1.5,100,30,5,1,2,10,20,1000,2000,30,40,0.9,5000,120\n";
-    }
-    ExperimentRunner runner(path);
-    const MetricSet hit = runner.run(WorkloadId::WS, cfg);
-    EXPECT_EQ(runner.simulationsRun(), 0u);
-    EXPECT_EQ(runner.cacheHits(), 1u);
-    EXPECT_DOUBLE_EQ(hit.userIpc, 1.5);
-
-    // The same point on another device misses and re-simulates.
-    SimConfig ddr4 = cfg;
-    ddr4.applyDevice(dramDeviceOrDie("DDR4-2400"));
-    (void)runner.run(WorkloadId::WS, ddr4);
-    EXPECT_EQ(runner.simulationsRun(), 1u);
-    std::remove(path.c_str());
-}
-
-TEST(ExperimentCache, V6RowsLoadWithZeroTierColumns)
-{
-    // A v6-format row — 28 value columns, no tier counters — must
-    // satisfy a non-tiered lookup with the schema-v7 columns zeroed:
-    // non-tiered keys are byte-identical across v6 and v7.
-    const std::string path = tempCachePath("v6migrate");
-    const SimConfig cfg = tinyConfig();
-    const std::string key =
-        ExperimentRunner::configKey(WorkloadId::WS, cfg);
-    EXPECT_EQ(key.find("+t"), std::string::npos) << key;
-    {
-        std::ofstream out(path);
-        out << key
-            << ",1.5,100,30,5,1,2,10,20,1000,2000,30,40,0.9,5000,120,"
-               "55,77,99,1.1,1.2,1.3,,,42.5,0.25,3,7,\n";
-    }
-    ExperimentRunner runner(path);
-    const MetricSet hit = runner.run(WorkloadId::WS, cfg);
-    EXPECT_EQ(runner.simulationsRun(), 0u);
-    EXPECT_EQ(runner.cacheHits(), 1u);
-    EXPECT_DOUBLE_EQ(hit.userIpc, 1.5);
-    EXPECT_EQ(hit.remapMigrations, 3u);
-    // Schema-v7 columns default to zero.
-    EXPECT_DOUBLE_EQ(hit.fastTierHitPct, 0.0);
-    EXPECT_DOUBLE_EQ(hit.slowTierReadLatencyP99, 0.0);
-    EXPECT_EQ(hit.tierMigrations, 0u);
-    EXPECT_EQ(hit.tierMigratedRows, 0u);
-    std::remove(path.c_str());
 }
 
 TEST(ExperimentCache, TierColumnsRoundtrip)
 {
-    // Schema v7 rows persist the tier hit fraction, the slow-tier p99
-    // and the migration counters; a reloaded tiered row must
-    // reproduce all of them.
+    // Rows persist the tier hit fraction, the slow-tier p99 and the
+    // migration counters; a reloaded tiered row must reproduce all of
+    // them.
     const std::string path = tempCachePath("v7roundtrip");
     std::remove(path.c_str());
     SimConfig cfg = tinyConfig();
@@ -802,7 +659,7 @@ TEST(ExperimentCache, TierColumnsRoundtrip)
 
 TEST(ExperimentCache, KeySeparatesTiers)
 {
-    // Schema v7: a tiered run never aliases the plain fast-tier row,
+    // A tiered run never aliases the plain fast-tier row,
     // and policies / capacity splits / tier knobs never alias each
     // other — while non-tiered keys ignore the dormant tier struct.
     const SimConfig base = SimConfig::baseline();
@@ -818,14 +675,293 @@ TEST(ExperimentCache, KeySeparatesTiers)
     const auto kb = ExperimentRunner::configKey(WorkloadId::DS, base);
     const auto kt = ExperimentRunner::configKey(WorkloadId::DS, tiered);
     EXPECT_NE(kb, kt);
-    EXPECT_NE(kt.find("+t50h"), std::string::npos) << kt;
     EXPECT_NE(kt, ExperimentRunner::configKey(WorkloadId::DS, alloy));
     EXPECT_NE(kt, ExperimentRunner::configKey(WorkloadId::DS, slim));
     EXPECT_NE(kt, ExperimentRunner::configKey(WorkloadId::DS, tuned));
-    // Tier knobs are hashed only when the composition is enabled, so
-    // non-tiered keys are byte-identical whatever the struct holds.
+    // Tier knobs are keyed only when the composition is enabled, so
+    // non-tiered keys are identical whatever the struct holds.
     SimConfig dormant = base;
     dormant.tier.fastCapacityPct = 25;
     dormant.tier.hotFactor = 8.0;
     EXPECT_EQ(kb, ExperimentRunner::configKey(WorkloadId::DS, dormant));
+}
+
+TEST(ExperimentCache, OtherSchemaRowsAreSkippedAndResimulated)
+{
+    // The cache is derived data: a headerless v7-format row and a row
+    // under another schema's header never load, even when they carry
+    // this very point's key. The point re-simulates, its row lands
+    // under a freshly written header, and the next runner recalls it.
+    const std::string path = tempCachePath("oldschema");
+    const SimConfig cfg = tinyConfig();
+    const std::string row =
+        ExperimentRunner::configKey(WorkloadId::WS, cfg) +
+        ",1.5,100,30,5,1,2,10,20,1000,2000,30,40,0.9,5000,120,55,77,99,"
+        "1.1,1.2,1.3,,,42.5,0.25,3,7,,50,60,1,2";
+    std::string foreign = ExperimentRunner::cacheHeader();
+    foreign.replace(foreign.find(' ') + 1, 16, std::string(16, '0'));
+    {
+        std::ofstream out(path);
+        out << row << '\n' << foreign << '\n' << row << '\n';
+    }
+    MetricSet fresh;
+    {
+        ExperimentRunner runner(path);
+        fresh = runner.run(WorkloadId::WS, cfg);
+        EXPECT_EQ(runner.simulationsRun(), 1u);
+        EXPECT_EQ(runner.cacheHits(), 0u);
+        EXPECT_NE(fresh.userIpc, 1.5);
+    }
+    {
+        // Recalled from the new section; a second point appends to it
+        // without repeating the header.
+        ExperimentRunner runner(path);
+        const MetricSet cached = runner.run(WorkloadId::WS, cfg);
+        EXPECT_EQ(runner.simulationsRun(), 0u);
+        EXPECT_EQ(runner.cacheHits(), 1u);
+        EXPECT_NEAR(cached.userIpc, fresh.userIpc, 1e-5 * fresh.userIpc);
+        (void)runner.run(WorkloadId::DS, cfg);
+        EXPECT_EQ(runner.simulationsRun(), 1u);
+    }
+    std::ifstream in(path);
+    std::string line;
+    std::size_t headers = 0, lines = 0;
+    while (std::getline(in, line)) {
+        ++lines;
+        headers += line == ExperimentRunner::cacheHeader();
+    }
+    EXPECT_EQ(headers, 1u);
+    EXPECT_EQ(lines, 6u); // 3 skipped lines, header, 2 rows.
+    ExperimentRunner runner(path);
+    (void)runner.run(WorkloadId::DS, cfg);
+    EXPECT_EQ(runner.cacheHits(), 1u);
+    std::remove(path.c_str());
+}
+
+// The tests below each write rows of one earlier cache-schema
+// generation and are named for how those rows once loaded. None of
+// them loads now: rows outside a current section, and rows whose keys
+// use the old segmented format, are skipped and never migrated, so the
+// planted userIpc of 1.5 never comes back.
+
+namespace {
+
+/** Value columns of the earlier schemas, each planting userIpc 1.5. */
+const std::string kV1Values =
+    ",1.5,100,30,5,1,2,10,20,1000,2000,30,40,0.9,5000,120";
+const std::string kV3Values = kV1Values + ",55,77,99";
+const std::string kV4Values = kV3Values + ",1.1,1.2,1.3,,";
+const std::string kV5Values = kV4Values + ",42.5";
+const std::string kV6Values = kV5Values + ",0.25,3,7,";
+/** The v7 width, which is also the current one. */
+const std::string kV7Values = kV6Values + ",50,60,1,2";
+
+/** The readable head every segmented key of tinyConfig() began with,
+ *  before device, bank-group and parameter-hash segments. */
+std::string
+segmentedKeyHead()
+{
+    const SimConfig cfg = tinyConfig();
+    return std::string("WS|") + schedulerKindName(cfg.scheduler) + '|' +
+           pagePolicyKindName(cfg.pagePolicy) + '|' +
+           mappingSchemeName(cfg.mapping) + '|' +
+           std::to_string(cfg.dram.channels) + "ch|" +
+           std::to_string(cfg.numCores) + "c|50+100k|s" +
+           std::to_string(cfg.seed) + "|q" +
+           std::to_string(cfg.schedulerParams.atlas.quantumCycles / 1000) +
+           "|f1";
+}
+
+/**
+ * A segmented-key row in its own era's width, headerless, then the
+ * same key in the current width under the current header: the key
+ * format alone must keep the second from satisfying a lookup.
+ */
+std::string
+segmentedKeyRows(const std::string &key, const std::string &values)
+{
+    return key + values + '\n' + ExperimentRunner::cacheHeader() + '\n' +
+           key + kV7Values + '\n';
+}
+
+/**
+ * Runs the tiny WS point against a cache file holding @p contents: the
+ * point re-simulates, and the next runner recalls the fresh row.
+ */
+void
+expectEarlierSchemaSkipped(const char *tag, const std::string &contents)
+{
+    const std::string path = tempCachePath(tag);
+    {
+        std::ofstream out(path);
+        out << contents;
+    }
+    const SimConfig cfg = tinyConfig();
+    MetricSet fresh;
+    {
+        ExperimentRunner runner(path);
+        fresh = runner.run(WorkloadId::WS, cfg);
+        EXPECT_EQ(runner.simulationsRun(), 1u);
+        EXPECT_EQ(runner.cacheHits(), 0u);
+        EXPECT_NE(fresh.userIpc, 1.5);
+    }
+    ExperimentRunner runner(path);
+    const MetricSet cached = runner.run(WorkloadId::WS, cfg);
+    EXPECT_EQ(runner.simulationsRun(), 0u);
+    EXPECT_EQ(runner.cacheHits(), 1u);
+    EXPECT_NEAR(cached.userIpc, fresh.userIpc, 1e-5 * fresh.userIpc);
+    std::remove(path.c_str());
+}
+
+} // namespace
+
+TEST(ExperimentCache, V1RowsStillLoadWithZeroPercentiles)
+{
+    // A 15-column row carrying this point's current key.
+    expectEarlierSchemaSkipped(
+        "v1row",
+        ExperimentRunner::configKey(WorkloadId::WS, tinyConfig()) +
+            kV1Values + '\n');
+}
+
+TEST(ExperimentCache, LegacyKeysLoadAsBaselineDevice)
+{
+    // v1/v2 keys had no device segment.
+    expectEarlierSchemaSkipped(
+        "legacykey", segmentedKeyRows(segmentedKeyHead(), kV1Values));
+}
+
+TEST(ExperimentCache, PreParamsHashKeysMigrateToBaselineRow)
+{
+    // v3 keys added the device segment but no parameter hash.
+    expectEarlierSchemaSkipped(
+        "paramsmigrate",
+        segmentedKeyRows(segmentedKeyHead() + "|dev=DDR3-1600@2000:800",
+                         kV3Values));
+}
+
+TEST(ExperimentCache, V4KeysMigrateToSingleGroupFingerprint)
+{
+    // v4 keys added the parameter hash but no bank-group segment.
+    expectEarlierSchemaSkipped(
+        "v4migrate",
+        segmentedKeyRows(segmentedKeyHead() +
+                             "|dev=DDR3-1600@2000:800|p0123456789abcdef",
+                         kV4Values));
+}
+
+TEST(ExperimentCache, V5KeysMigrateToFlatFingerprint)
+{
+    // v5 keys added the bank-group segment but no backend segment.
+    expectEarlierSchemaSkipped(
+        "v5migrate",
+        segmentedKeyRows(segmentedKeyHead() + "|dev=DDR3-1600@2000:800"
+                                              "|bg=1i|p0123456789abcdef",
+                         kV5Values));
+}
+
+TEST(ExperimentCache, V6RowsLoadWithZeroTierColumns)
+{
+    // A 28-column row with this point's current key, headerless and
+    // again inside a current section, where its width rejects it.
+    const std::string row =
+        ExperimentRunner::configKey(WorkloadId::WS, tinyConfig()) +
+        kV6Values + '\n';
+    expectEarlierSchemaSkipped(
+        "v6migrate", row + ExperimentRunner::cacheHeader() + '\n' + row);
+}
+
+TEST(ExperimentCache, EveryKnobChangesTheKey)
+{
+    // A second legal value for every keyed knob in the table, set
+    // through the knob's own parser with the knob in scope. A knob
+    // added without an entry here fails, so no knob can alias rows.
+    // The window values differ from the defaults by under 1000 cycles.
+    const std::map<std::string, std::string> second = {
+        {"device", "DDR4-2400"},
+        {"scheduler", "ATLAS"},
+        {"policy", "Close"},
+        {"mapping", "PermBaXor"},
+        {"group_mapping", "GroupPacked"},
+        {"channels", "2"},
+        {"vaults", "8"},
+        {"workload", "WS"},
+        {"core_mhz", "3000"},
+        {"warmup", "2000001"},
+        {"measure", "8000999"},
+        {"seed", "2"},
+        {"refresh", "off"},
+        {"backend", "stacked"},
+        {"remap", "on"},
+        {"tier", "on"},
+        {"tier_policy", "alloy_cache"},
+        {"tier_latency", "120"},
+        {"tier_bw", "40"},
+        {"tier_capacity_pct", "25"},
+        {"tier_hot_factor", "3.5"},
+        {"tier_migration_cycles", "32"},
+        {"monitor_sample", "8"},
+        {"monitor_window", "512"},
+        {"monitor_min_regions", "8"},
+        {"monitor_max_regions", "64"},
+    };
+    const FastDivisorScope fullWindows(nullptr);
+    for (const Knob &k : knobTable()) {
+        if (!k.keyed())
+            continue;
+        SCOPED_TRACE(k.key);
+        const auto alt = second.find(k.key);
+        ASSERT_NE(alt, second.end()) << "no second value for " << k.key;
+        std::string prelude;
+        if (k.scope == KnobScope::Grouped)
+            prelude = "device = DDR4-2400\n";
+        else if (k.scope == KnobScope::Stacked)
+            prelude = "device = HMC2-8GB\n";
+        else if (k.scope == KnobScope::Tiered)
+            prelude = "tier = on\n";
+        ExperimentSpec spec;
+        ASSERT_EQ(parseExperimentSpec(prelude, spec), "");
+        const std::string before = specKey(spec);
+        ASSERT_EQ(k.parse(alt->second, spec), "");
+        ASSERT_EQ(spec.finish(), "");
+        EXPECT_NE(specKey(spec), before);
+    }
+
+    // kernel_threads changes how a point runs, not what it computes,
+    // and dormant knobs change nothing: group mapping on a
+    // single-group part, the remap struct on a flat part and the tier
+    // struct with the tier off.
+    ExperimentSpec spec;
+    ASSERT_EQ(parseExperimentSpec("", spec), "");
+    const std::string base = specKey(spec);
+    ASSERT_EQ(findKnob("kernel_threads")->parse("4", spec), "");
+    ASSERT_EQ(findKnob("group_mapping")->parse("GroupPacked", spec), "");
+    ASSERT_EQ(spec.finish(), "");
+    EXPECT_EQ(specKey(spec), base);
+    SimConfig dormant = spec.points().front().cfg;
+    EXPECT_EQ(dormant.bankGroupMapping, BankGroupMapping::GroupPacked);
+    dormant.remap.enabled = true;
+    dormant.remap.hotFactor = 8.0;
+    dormant.tier.fastCapacityPct = 25;
+    dormant.tier.hotFactor = 8.0;
+    EXPECT_EQ(ExperimentRunner::configKey(WorkloadId::DS, dormant), base);
+}
+
+TEST(ExperimentCache, KeyHashesTheWindowsThatRun)
+{
+    // The key covers the config after the CLOUDMC_FAST division: full
+    // windows divided by 50 share the row of the equal short windows.
+    SimConfig full = SimConfig::baseline();
+    SimConfig shortened = full;
+    shortened.shortenWindows(50);
+    std::string fullAtFast50;
+    {
+        const FastDivisorScope fast("50");
+        fullAtFast50 = ExperimentRunner::configKey(WorkloadId::DS, full);
+    }
+    const FastDivisorScope fullWindows(nullptr);
+    EXPECT_EQ(fullAtFast50,
+              ExperimentRunner::configKey(WorkloadId::DS, shortened));
+    EXPECT_NE(fullAtFast50,
+              ExperimentRunner::configKey(WorkloadId::DS, full));
 }

@@ -17,9 +17,11 @@
  * equal the serial event kernel (and hence the reference) at every
  * thread count — the epoch/barrier contract in the README.
  *
- * A failing configuration is printed as a reproducible spec string:
- * paste it into a file and run `example_run_experiment --config` (or
- * re-run this suite with CLOUDMC_FUZZ_SEED) to replay the exact point.
+ * A failing configuration is printed as a reproducible spec string,
+ * formatted through the knob table (and checked to parse back to the
+ * same results-cache key): paste it into a file and run
+ * `example_run_experiment --config` (or re-run this suite with
+ * CLOUDMC_FUZZ_SEED) to replay the exact point.
  * CI pins CLOUDMC_FUZZ_SEED so the covered sample is stable per run
  * while the seed knob still lets a soak loop walk fresh samples.
  */
@@ -28,13 +30,14 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/random.hh"
 #include "dram/devices.hh"
 #include "mem/factory.hh"
+#include "sim/knobs.hh"
+#include "sim/spec.hh"
 #include "sim/system.hh"
 #include "workload/presets.hh"
 
@@ -58,45 +61,14 @@ struct FuzzConfig
 {
     SimConfig cfg;
     WorkloadId workload = WorkloadId::DS;
-    bool refresh = true;
-
-    /** The configuration as a runnable `--config` spec string. */
-    std::string
-    specString() const
-    {
-        std::ostringstream out;
-        out << "device = " << cfg.deviceName << '\n'
-            << "scheduler = " << schedulerKindName(cfg.scheduler) << '\n'
-            << "policy = " << pagePolicyKindName(cfg.pagePolicy) << '\n'
-            << "mapping = " << mappingSchemeName(cfg.mapping) << '\n'
-            << "group_mapping = "
-            << bankGroupMappingName(cfg.bankGroupMapping) << '\n'
-            << "channels = " << cfg.dram.channels << '\n'
-            << "workload = " << workloadAcronym(workload) << '\n'
-            << "refresh = " << (refresh ? "on" : "off") << '\n';
-        if (cfg.dram.vaultsPerStack > 0) {
-            out << "backend = stacked\n"
-                << "vaults = " << cfg.dram.vaultsPerStack << '\n'
-                << "remap = " << (cfg.remap.enabled ? "on" : "off")
-                << '\n';
-        }
-        if (cfg.tier.enabled) {
-            out << "tier = on\n"
-                << "tier_policy = " << tierPolicyName(cfg.tier.policy)
-                << '\n'
-                << "tier_capacity_pct = " << cfg.tier.fastCapacityPct
-                << '\n'
-                << "monitor_sample = " << cfg.tier.monitorSampleEvery
-                << '\n'
-                << "monitor_window = " << cfg.tier.monitorWindowSamples
-                << '\n';
-        }
-        out << "warmup = " << cfg.warmupCoreCycles << '\n'
-            << "measure = " << cfg.measureCoreCycles << '\n'
-            << "kernel_threads = " << cfg.kernelThreads << '\n';
-        return out.str();
-    }
 };
+
+/** @p cfg running @p wl as a runnable `--config` spec. */
+std::string
+reproSpec(WorkloadId wl, const SimConfig &cfg)
+{
+    return pointSpecText(ExperimentRunner::Point(wl, cfg));
+}
 
 /** Derive one random configuration from the (base seed, index) pair. */
 FuzzConfig
@@ -119,8 +91,7 @@ drawConfig(std::uint64_t index)
     f.cfg.dram.channels = 1u << rng.below(3); // 1, 2 or 4.
     f.workload = kAllWorkloads[rng.below(
         static_cast<std::uint32_t>(kAllWorkloads.size()))];
-    f.refresh = rng.below(2) == 0;
-    f.cfg.refreshEnabled = f.refresh;
+    f.cfg.refreshEnabled = rng.below(2) == 0;
     // Stacked-backend sampling: a quarter of the indices force the
     // stacked reference part, so vault-geometry and remapping coverage
     // never depends on the registry draw above happening to pick it.
@@ -286,7 +257,17 @@ class KernelFuzz : public ::testing::TestWithParam<std::uint64_t>
 TEST_P(KernelFuzz, EventAndReferenceKernelsAgreeOnRandomConfig)
 {
     const FuzzConfig f = drawConfig(GetParam());
-    SCOPED_TRACE("reproduce with --config spec:\n" + f.specString());
+    const std::string spec = reproSpec(f.workload, f.cfg);
+    SCOPED_TRACE("reproduce with --config spec:\n" + spec);
+
+    // The printed spec must name exactly this point: parsed back, it
+    // has the same results-cache key.
+    ExperimentSpec parsed;
+    ASSERT_EQ(parseExperimentSpec(spec, parsed), "");
+    ASSERT_EQ(parsed.pointCount(), 1u);
+    const ExperimentRunner::Point back = parsed.points().front();
+    EXPECT_EQ(ExperimentRunner::configKey(back.workload, back.cfg),
+              ExperimentRunner::configKey(f.workload, f.cfg));
 
     const RunResult ev = runKernel(f, /*reference=*/false);
     const RunResult ref = runKernel(f, /*reference=*/true);
@@ -304,10 +285,11 @@ TEST_P(KernelFuzz, EventAndReferenceKernelsAgreeOnRandomConfig)
     // event kernel bit for bit at every thread budget (IO-enabled
     // workloads exercise the documented serial fallback).
     for (const std::uint32_t threads : {2u, 4u, 7u}) {
-        FuzzConfig fp = f;
-        fp.cfg.kernelThreads = threads;
+        SimConfig threaded = f.cfg;
+        threaded.kernelThreads = threads;
         SCOPED_TRACE("with kernel_threads = " + std::to_string(threads) +
-                     "; reproduce with --config spec:\n" + fp.specString());
+                     "; reproduce with --config spec:\n" +
+                     reproSpec(f.workload, threaded));
         const RunResult par = runKernel(f, /*reference=*/false, threads);
         expectMetricsIdentical(par.metrics, ev.metrics);
         EXPECT_EQ(par.endTick, ev.endTick);

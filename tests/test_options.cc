@@ -107,7 +107,7 @@ TEST(Options, EveryNameTableRoundtrips)
 
 TEST(Options, RejectsBadValues)
 {
-    const std::array<std::vector<std::string>, 7> bad = {{
+    const std::array<std::vector<std::string>, 9> bad = {{
         {"--workload", "NOPE"},
         {"--scheduler", "LRU"},
         {"--policy", "YOLO"},
@@ -115,6 +115,9 @@ TEST(Options, RejectsBadValues)
         {"--channels", "3"},
         {"--measure", "0"},
         {"--flag-that-does-not-exist"},
+        // 2^32 does not fit the stored 32-bit counts.
+        {"--channels", "4294967296"},
+        {"--device", "HMC2-8GB", "--vaults", "4294967296"},
     }};
     for (const auto &args : bad) {
         ExperimentOptions opts;
@@ -317,7 +320,15 @@ TEST(Options, StackedOnlyFlagsAreNamedErrorsOnFlat)
     EXPECT_NE(err.find("power-of-two"), std::string::npos) << err;
 
     err = parseArgs(opts, {"--device", "HMC2-8GB", "--backend", "flat"});
-    EXPECT_NE(err.find("stacked device"), std::string::npos) << err;
+    EXPECT_NE(err.find("stacked part"), std::string::npos) << err;
+
+    // --vaults runs the same capacity check as the spec key.
+    ExperimentOptions huge;
+    err = parseArgs(huge, {"--device", "HMC2-8GB", "--vaults", "8388608"});
+    EXPECT_NE(err.find("vault count 8388608 cannot preserve device "
+                       "'HMC2-8GB' capacity"),
+              std::string::npos)
+        << err;
 
     err = parseArgs(opts, {"--backend", "diagonal"});
     EXPECT_NE(err.find("'flat' or 'stacked'"), std::string::npos) << err;

@@ -121,6 +121,18 @@ TEST(Spec, BadValuesAreLineNumberedErrors)
     err = parseExperimentSpec("channels = 3\n", spec);
     EXPECT_NE(err.find("channel count"), std::string::npos) << err;
 
+    // Counts are range-checked in their stored 32-bit type, so 2^32 is
+    // a named error rather than a count of 0.
+    err = parseExperimentSpec("channels = 4294967296\n", spec);
+    EXPECT_NE(err.find("channel count"), std::string::npos) << err;
+    err = parseExperimentSpec("device = HMC2-8GB\nvaults = 4294967296\n",
+                              spec);
+    EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+    EXPECT_NE(err.find("vault count"), std::string::npos) << err;
+    err = parseExperimentSpec("backend = stacked\nvaults = 4294967296\n",
+                              spec);
+    EXPECT_NE(err.find("vault count"), std::string::npos) << err;
+
     err = parseExperimentSpec("measure = zero\n", spec);
     EXPECT_NE(err.find("measure"), std::string::npos) << err;
 
@@ -229,13 +241,13 @@ TEST(Spec, RemapOnFlatBackendIsANamedError)
     // the loader must reject it by name.
     ExperimentSpec spec;
     std::string err = parseExperimentSpec("remap = on\n", spec);
-    EXPECT_NE(err.find("remap applies to the stacked backend only"),
+    EXPECT_NE(err.find("'remap' applies to the stacked backend only"),
               std::string::npos)
         << err;
 
     // Even `remap = off` names a knob the flat backend does not have.
     err = parseExperimentSpec("remap = off\n", spec);
-    EXPECT_NE(err.find("remap applies to the stacked backend only"),
+    EXPECT_NE(err.find("'remap' applies to the stacked backend only"),
               std::string::npos)
         << err;
 
@@ -243,7 +255,7 @@ TEST(Spec, RemapOnFlatBackendIsANamedError)
     EXPECT_NE(err.find("DDR4-2400"), std::string::npos) << err;
 
     err = parseExperimentSpec("vaults = 8\n", spec);
-    EXPECT_NE(err.find("vaults applies to the stacked backend only"),
+    EXPECT_NE(err.find("'vaults' applies to the stacked backend only"),
               std::string::npos)
         << err;
 }
