@@ -1,6 +1,9 @@
 #include "random.hh"
 
 #include <algorithm>
+#include <map>
+#include <mutex>
+#include <utility>
 
 namespace mcsim {
 
@@ -28,10 +31,34 @@ ZipfianGenerator::zeta(std::uint64_t n, double theta)
     // Exact summation is O(n); cap the exact prefix and integrate the
     // tail, which is accurate to well under 0.1% for the sizes we use.
     constexpr std::uint64_t kExactPrefix = 1u << 20;
-    double sum = 0.0;
     const std::uint64_t exact = std::min(n, kExactPrefix);
-    for (std::uint64_t i = 1; i <= exact; ++i)
-        sum += 1.0 / std::pow(static_cast<double>(i), theta);
+
+    // Up to 2^20 std::pow terms dominate System set-up, and every
+    // System builds its generators anew, so each (prefix, theta) is
+    // summed once per process. Sweep workers construct generators
+    // concurrently: the map lookup is locked, the summation runs
+    // under the key's own once_flag, so distinct keys never wait on
+    // each other and equal keys wait for the one summation.
+    struct Prefix
+    {
+        std::once_flag once;
+        double sum = 0.0;
+    };
+    static std::mutex memoMutex;
+    static std::map<std::pair<std::uint64_t, double>, Prefix> memo;
+    Prefix *prefix;
+    {
+        const std::lock_guard<std::mutex> lock(memoMutex);
+        prefix = &memo[{exact, theta}]; // Map nodes never move.
+    }
+    std::call_once(prefix->once, [prefix, exact, theta] {
+        double s = 0.0;
+        for (std::uint64_t i = 1; i <= exact; ++i)
+            s += 1.0 / std::pow(static_cast<double>(i), theta);
+        prefix->sum = s;
+    });
+
+    double sum = prefix->sum;
     if (n > exact) {
         // Integral of x^-theta from exact to n.
         const double a = static_cast<double>(exact);

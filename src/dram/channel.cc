@@ -224,12 +224,14 @@ Channel::resetStats(Tick now)
 }
 
 Tick
-Channel::nextRefreshDueAt() const
+Channel::nextRefreshDueAfter(Tick now) const
 {
     Tick due = kMaxTick;
     for (const Rank &rk : ranks_) {
-        if (rk.refreshEnabled() && rk.nextRefreshDue() < due)
+        if (rk.refreshEnabled() && rk.nextRefreshDue() > now &&
+            rk.nextRefreshDue() < due) {
             due = rk.nextRefreshDue();
+        }
     }
     return due;
 }

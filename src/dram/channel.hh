@@ -131,9 +131,9 @@ class Channel
     /** True when this channel refreshes one bank at a time (REFpb). */
     bool perBankRefresh() const { return tm_.perBankRefresh; }
 
-    /** Earliest refresh deadline over all ranks; kMaxTick when
-     *  refresh is disabled. */
-    Tick nextRefreshDueAt() const;
+    /** Earliest refresh deadline later than @p now over all ranks;
+     *  kMaxTick when none (or refresh is disabled). */
+    Tick nextRefreshDueAfter(Tick now) const;
 
     /**
      * Event-kernel contract: the earliest tick >= now at which

@@ -111,12 +111,12 @@ MemController::updateDrainMode(Tick now)
         drainingWrites_ = false;
 }
 
-bool
-MemController::tryRefresh(Tick now)
+std::optional<DramCommand>
+MemController::refreshStep(Tick now) const
 {
     const int rankIdx = channel_.refreshDueRank(now);
     if (rankIdx < 0)
-        return false;
+        return std::nullopt;
     const auto r = static_cast<std::uint32_t>(rankIdx);
     const Rank &rank = channel_.rank(r);
 
@@ -124,43 +124,31 @@ MemController::tryRefresh(Tick now)
         // REFpb targets one bank round-robin; only it must be closed,
         // the rest of the rank stays schedulable.
         const std::uint32_t b = rank.refreshDueBank();
-        if (rank.bank(b).isOpen()) {
-            const auto pre = DramCommand::precharge(r, b);
-            if (channel_.canIssue(pre, now)) {
-                recordPrecharge(r, b, rank.bank(b).openRow(),
-                                rank.bank(b).accessesThisActivation());
-                channel_.issue(pre, now);
-                return true;
-            }
-            return false; // Target bank not yet precharge-able; wait.
-        }
-        const auto ref = DramCommand::refreshBank(r, b);
-        if (channel_.canIssue(ref, now)) {
-            channel_.issue(ref, now);
-            return true;
-        }
-        return false;
+        return rank.bank(b).isOpen() ? DramCommand::precharge(r, b)
+                                     : DramCommand::refreshBank(r, b);
     }
-
-    // All-bank refresh: close any open bank in the rank first.
+    // All-bank refresh: close the rank's open banks first, lowest
+    // index first.
     for (std::uint32_t b = 0; b < rank.numBanks(); ++b) {
-        if (!rank.bank(b).isOpen())
-            continue;
-        const auto pre = DramCommand::precharge(r, b);
-        if (channel_.canIssue(pre, now)) {
-            recordPrecharge(r, b, rank.bank(b).openRow(),
-                            rank.bank(b).accessesThisActivation());
-            channel_.issue(pre, now);
-            return true;
-        }
-        return false; // Open bank not yet precharge-able; wait.
+        if (rank.bank(b).isOpen())
+            return DramCommand::precharge(r, b);
     }
-    const auto ref = DramCommand::refresh(r);
-    if (channel_.canIssue(ref, now)) {
-        channel_.issue(ref, now);
-        return true;
+    return DramCommand::refresh(r);
+}
+
+bool
+MemController::tryRefresh(Tick now)
+{
+    const auto cmd = refreshStep(now);
+    if (!cmd || !channel_.canIssue(*cmd, now))
+        return false; // None due, or its next step must wait.
+    if (cmd->type == DramCommandType::Precharge) {
+        const Bank &bank = channel_.bank(cmd->rank, cmd->bank);
+        recordPrecharge(cmd->rank, cmd->bank, bank.openRow(),
+                        bank.accessesThisActivation());
     }
-    return false;
+    channel_.issue(*cmd, now);
+    return true;
 }
 
 void
@@ -480,11 +468,13 @@ MemController::nextEventAt(Tick now, Tick policyCloseEvent)
 
     consider(scheduler_->nextEventAt(now));
 
-    // A refresh already due but blocked (open bank awaiting its
-    // precharge window) must retry every cycle.
-    if (channel_.refreshDueRank(now) >= 0)
-        return now + clk_.dramToTicks(1);
-    consider(channel_.nextRefreshDueAt());
+    // A refresh already due but blocked wakes when its next step (a
+    // precharge closing a bank, or the refresh itself) becomes legal;
+    // a rank not yet due wakes at its deadline, and may take the
+    // refresh over from a higher-index rank then.
+    if (const auto step = refreshStep(now))
+        consider(channel_.nextLegalAt(*step, now));
+    consider(channel_.nextRefreshDueAfter(now));
 
     // First tick any queued request's next command becomes legal —
     // already computed by this cycle's buildCandidates() pass.

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <vector>
 
@@ -130,11 +131,13 @@ class MemController
      * simulation to stay cycle-exact: the next command cycle when this
      * one did (or could soon do) any work, otherwise the earliest
      * upcoming event — pending response delivery, a scheduler quantum
-     * deadline, a refresh deadline, the first tick a queued request's
-     * next command becomes timing-legal, a write-drain idle flip, or a
-     * page-policy closure. Skipping the cycles in between is a no-op:
-     * the event kernel relies on that, and enqueue() re-arms the
-     * controller on arrivals. May be conservative (early), never late.
+     * deadline, a refresh deadline (for a refresh already due, the
+     * tick its next step becomes legal), the first tick a queued
+     * request's next command becomes timing-legal, a write-drain idle
+     * flip, or a page-policy closure. Skipping the cycles in between
+     * is a no-op: the event kernel relies on that, and enqueue()
+     * re-arms the controller on arrivals. May be conservative (early),
+     * never late.
      */
     Tick tick(Tick now);
 
@@ -180,6 +183,13 @@ class MemController
     Tick nextEventAt(Tick now, Tick policyCloseEvent);
     void deliverResponses(Tick now);
     void updateDrainMode(Tick now);
+    /**
+     * The command tryRefresh() would issue for the refresh due at
+     * @p now: a precharge to the due bank (REFpb) or to the rank's
+     * lowest open bank (REF) while one is open, else the refresh.
+     * Empty when no refresh is due.
+     */
+    std::optional<DramCommand> refreshStep(Tick now) const;
     bool tryRefresh(Tick now);
     void buildCandidates(Tick now);
     bool issueCandidate(const Candidate &cand, Tick now);

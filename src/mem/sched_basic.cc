@@ -1,7 +1,5 @@
 #include "sched_basic.hh"
 
-#include <unordered_map>
-
 namespace mcsim {
 
 int
@@ -27,28 +25,28 @@ FcfsBanksScheduler::choose(const std::vector<Candidate> &cands, Tick,
 {
     // Oldest request per (rank, bank) is eligible; among the eligible
     // and issuable ones, pick the oldest overall (age fairness across
-    // banks; the bank queues themselves are strictly in order). The
-    // map is insert/lookup-only; selection walks the candidate vector
-    // in index order with an (arrivedAt, id) tie-break, so two banks
-    // whose heads arrived on the same tick resolve identically on
-    // every stdlib (hash iteration order is not deterministic).
-    // detlint-allow(unordered-iter): headOfBank is never iterated.
-    std::unordered_map<std::uint32_t, int> headOfBank;
+    // banks; the bank queues themselves are strictly in order).
+    // Selection walks the candidate vector in index order with an
+    // (arrivedAt, id) tie-break, so two banks whose heads arrived on
+    // the same tick resolve by request id, never by table layout.
     for (std::size_t i = 0; i < cands.size(); ++i) {
-        const auto key = (cands[i].req->coord.rank << 8) |
-                         cands[i].req->coord.bank;
-        auto it = headOfBank.find(key);
-        if (it == headOfBank.end() ||
-            cands[i].req->arrivedAt < cands[it->second].req->arrivedAt) {
-            headOfBank[key] = static_cast<int>(i);
+        const std::uint32_t key = cands[i].req->coord.flatBankKey();
+        if (key >= headOfBank_.size())
+            headOfBank_.resize(key + 1, -1);
+        int &head = headOfBank_[key];
+        if (head < 0 ||
+            cands[i].req->arrivedAt < cands[head].req->arrivedAt) {
+            head = static_cast<int>(i);
         }
     }
     int best = -1;
     for (std::size_t i = 0; i < cands.size(); ++i) {
-        const auto key = (cands[i].req->coord.rank << 8) |
-                         cands[i].req->coord.bank;
-        if (headOfBank[key] != static_cast<int>(i))
+        int &head = headOfBank_[cands[i].req->coord.flatBankKey()];
+        if (head != static_cast<int>(i))
             continue; // Not the head of its bank queue.
+        // Each head is reached exactly once, so clearing it here
+        // leaves the whole table at -1 for the next call.
+        head = -1;
         if (!cands[i].issuableNow)
             continue;
         const Request &r = *cands[i].req;

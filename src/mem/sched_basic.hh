@@ -38,6 +38,11 @@ class FcfsBanksScheduler : public Scheduler
     const char *name() const override { return "FCFS_banks"; }
     int choose(const std::vector<Candidate> &cands, Tick now,
                const SchedulerContext &ctx) override;
+
+  private:
+    /** Candidate index heading each bank queue, indexed by
+     *  DramCoord::flatBankKey(); -1 between choose() calls. */
+    std::vector<int> headOfBank_;
 };
 
 /**

@@ -98,13 +98,12 @@ RlScheduler::choose(const std::vector<Candidate> &cands, Tick now,
             ++pendingHits;
     }
 
-    std::vector<int> legal;
-    legal.reserve(cands.size());
+    legal_.clear();
     for (std::size_t i = 0; i < cands.size(); ++i) {
         if (cands[i].issuableNow)
-            legal.push_back(static_cast<int>(i));
+            legal_.push_back(static_cast<int>(i));
     }
-    if (legal.empty()) {
+    if (legal_.empty()) {
         // No action this cycle; defer the SARSA update until a real
         // action is available (idle cycles carry zero reward).
         return -1;
@@ -114,7 +113,7 @@ RlScheduler::choose(const std::vector<Candidate> &cands, Tick now,
     // serviced oldest-first, bypassing the learned policy.
     const TickSpan starveTicks = clk_.coreToTicks(cfg_.starvationCycles);
     int starvedIdx = -1;
-    for (int idx : legal) {
+    for (int idx : legal_) {
         if (now - cands[idx].req->arrivedAt >= starveTicks) {
             if (starvedIdx < 0 || cands[idx].req->arrivedAt <
                                       cands[starvedIdx].req->arrivedAt) {
@@ -123,38 +122,52 @@ RlScheduler::choose(const std::vector<Candidate> &cands, Tick now,
         }
     }
 
-    int chosen;
-    if (starvedIdx >= 0) {
-        chosen = starvedIdx;
-    } else if (rng_.chance(cfg_.epsilon)) {
+    // A starved request or an exploratory pick bypasses the learned
+    // policy; otherwise the greedy scan below picks.
+    int chosen = starvedIdx;
+    if (chosen < 0 && rng_.chance(cfg_.epsilon)) {
         // Explore uniformly among the legal commands, plus no-action
         // when configured (the original action vocabulary includes it;
         // an exploratory no-op burns the issue slot).
         const auto extra = cfg_.exploreNoAction ? 1u : 0u;
         const auto pick = rng_.below(
-            static_cast<std::uint32_t>(legal.size()) + extra);
+            static_cast<std::uint32_t>(legal_.size()) + extra);
         ++explorations_;
-        if (pick == legal.size()) {
+        if (pick == legal_.size()) {
             // No-action: defer the SARSA update to the next real
             // decision (idle cycles carry zero reward either way).
             return -1;
         }
-        chosen = legal[pick];
+        chosen = legal_[pick];
+    }
+
+    std::uint64_t feats = 0;
+    double q = 0.0;
+    if (chosen >= 0) {
+        feats = featurize(cands[chosen], ctx, pendingHits);
+        q = qValue(feats);
     } else {
-        chosen = legal[0];
-        double bestQ = qValue(featurize(cands[chosen], ctx, pendingHits));
-        for (std::size_t k = 1; k < legal.size(); ++k) {
-            const double q =
-                qValue(featurize(cands[legal[k]], ctx, pendingHits));
-            if (q > bestQ) {
-                bestQ = q;
-                chosen = legal[k];
+        // Greedy: the first legal candidate with the highest Q-value.
+        // A candidate whose feature word an earlier one already had
+        // scores the same Q and cannot win the strict '>' scan, so
+        // each distinct word is scored once.
+        scored_.clear();
+        for (int idx : legal_) {
+            const std::uint64_t f = featurize(cands[idx], ctx, pendingHits);
+            if (std::find(scored_.begin(), scored_.end(), f) !=
+                scored_.end()) {
+                continue;
+            }
+            scored_.push_back(f);
+            const double qf = qValue(f);
+            if (chosen < 0 || qf > q) {
+                chosen = idx;
+                feats = f;
+                q = qf;
             }
         }
     }
 
-    const std::uint64_t feats = featurize(cands[chosen], ctx, pendingHits);
-    const double q = qValue(feats);
     if (havePrev_)
         update(prevReward_, q);
 

@@ -75,6 +75,8 @@ class RlScheduler : public Scheduler
     ClockDomains clk_;
     Pcg32 rng_;
     std::vector<float> tables_; ///< numTables x tableSize, flattened.
+    std::vector<int> legal_;    ///< Reused each decision.
+    std::vector<std::uint64_t> scored_; ///< Greedy scan's distinct words.
 
     bool havePrev_ = false;
     std::uint64_t prevFeatures_ = 0;

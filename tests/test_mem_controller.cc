@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/random.hh"
@@ -24,8 +25,9 @@ struct Harness
 {
     explicit Harness(SchedulerKind sched = SchedulerKind::FrFcfs,
                      PagePolicyKind policy = PagePolicyKind::OpenAdaptive,
-                     bool refresh = true)
-        : geom(makeGeom()), channel(geom, DramTimings::ddr3_1600(), refresh),
+                     bool refresh = true,
+                     const DramTimings &timings = DramTimings::ddr3_1600())
+        : geom(makeGeom()), channel(geom, timings, refresh),
           mc(channel, makeScheduler(sched, 16), makePagePolicy(policy), 16)
     {
         mc.setCompletionCallback(
@@ -182,6 +184,63 @@ TEST(MemController, RefreshEventuallyIssues)
     const auto tm = DramTimings::ddr3_1600();
     h.run(tm.tREFI * 3);
     EXPECT_GE(h.channel.stats().refreshes, 2u);
+}
+
+TEST(MemController, BlockedRefreshWakesAtPrechargeLegalTick)
+{
+    // Rank 0's refresh comes due two cycles after an ACT opened bank 0,
+    // the bank both refresh modes must close first. While the bank is
+    // inside tRAS the refresh is blocked: the quiescent controller must
+    // sleep until the closing precharge is legal instead of retrying
+    // every cycle, and the precharge and refresh must then issue on
+    // the ticks that per-cycle ticking issues them.
+    const TickSpan cycle = kBaselineClocks.ticksPerDram;
+    for (const bool perBank : {false, true}) {
+        SCOPED_TRACE(perBank ? "REFpb" : "all-bank REF");
+        DramTimings tm = DramTimings::ddr3_1600();
+        tm.perBankRefresh = perBank;
+        tm.tRFCpb = perBank ? 90 : 0;
+        Harness perCycle(SchedulerKind::FrFcfs,
+                         PagePolicyKind::OpenAdaptive, true, tm);
+        Harness stepped(SchedulerKind::FrFcfs, PagePolicyKind::OpenAdaptive,
+                        true, tm);
+        const Tick due = stepped.channel.rank(0).nextRefreshDue();
+        std::vector<std::pair<DramCommandType, Tick>> cmds[2];
+        Harness *harnesses[2] = {&perCycle, &stepped};
+        for (int i = 0; i < 2; ++i) {
+            Harness &h = *harnesses[i];
+            h.channel.issue(DramCommand::activate(DramCoord{0, 0, 0, 1, 0}),
+                            due - 2 * cycle);
+            h.channel.setCommandHook([&cmds, i](const DramCommand &c,
+                                                Tick at) {
+                cmds[i].emplace_back(c.type, at);
+            });
+            h.now = due;
+        }
+        const Tick preLegal = stepped.channel.bank(0, 0).preAllowedAt();
+        ASSERT_GT(preLegal, due + cycle) << "bank must still be in tRAS";
+
+        stepped.now = stepped.mc.tick(due);
+        EXPECT_EQ(stepped.now, preLegal);
+
+        // Run both until the refresh issues: one every DRAM cycle, the
+        // other only on the ticks tick() asks for.
+        const auto refreshed = [](const auto &log) {
+            return !log.empty() &&
+                   log.back().first == DramCommandType::Refresh;
+        };
+        while (!refreshed(cmds[0]) && perCycle.now < due + 200 * cycle) {
+            perCycle.mc.tick(perCycle.now);
+            perCycle.now += cycle;
+        }
+        while (!refreshed(cmds[1]) && stepped.now < due + 200 * cycle)
+            stepped.now = stepped.mc.tick(stepped.now);
+
+        ASSERT_EQ(cmds[0].size(), 2u);
+        EXPECT_EQ(cmds[0][0],
+                  std::make_pair(DramCommandType::Precharge, preLegal));
+        EXPECT_EQ(cmds[1], cmds[0]);
+    }
 }
 
 TEST(MemController, PerCoreStatsAttributed)

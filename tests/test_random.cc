@@ -5,11 +5,37 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "common/random.hh"
+#include "common/worker_pool.hh"
 
 using namespace mcsim;
+
+namespace {
+
+/** FNV-1a over a generator's first 1,000 samples from a fixed seed. */
+std::uint64_t
+sampleChecksum(const ZipfianGenerator &zipf)
+{
+    Pcg32 rng(2026);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (int i = 0; i < 1000; ++i) {
+        h ^= zipf.sample(rng);
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+struct ZipfCase
+{
+    std::uint64_t n;
+    double theta;
+    std::uint64_t checksum; ///< Recorded before the normalizer memo.
+};
+
+} // namespace
 
 TEST(Pcg32, DeterministicAcrossInstances)
 {
@@ -118,6 +144,55 @@ TEST(Zipfian, SingleItem)
     Pcg32 rng(2);
     for (int i = 0; i < 10; ++i)
         EXPECT_EQ(zipf.sample(rng), 0u);
+}
+
+TEST(Zipfian, NormalizerMemoIsExact)
+{
+    // The exact zeta prefix is summed once per (min(n, 2^20), theta)
+    // and reused; the tail integral stays per generator. (2^20, 0.2)
+    // and (2^26, 0.2) share a prefix, and (2^26, 0.2) and (2^26, 0.99)
+    // share an n, so a key that drops either part shows up here.
+    const ZipfCase cases[] = {
+        {37, 0.5, 0x88cc6ef7a6cf7ac2ULL},
+        {65536, 0.85, 0x6b3838af76792630ULL},
+        {1ull << 20, 0.2, 0x17368115704f1cb0ULL},
+        {1ull << 26, 0.2, 0xbca96bdc833fbd0cULL},
+        {1ull << 26, 0.99, 0x928dd4b23a8d021bULL},
+    };
+    for (int pass = 0; pass < 2; ++pass) { // Pass 1 hits the memo.
+        for (const ZipfCase &c : cases) {
+            const ZipfianGenerator zipf(c.n, c.theta);
+            EXPECT_EQ(sampleChecksum(zipf), c.checksum)
+                << "n=" << c.n << " theta=" << c.theta << " pass "
+                << pass;
+        }
+    }
+}
+
+TEST(Zipfian, ConcurrentConstructionIsExact)
+{
+    // Sweep workers build generators concurrently: every task builds
+    // one shared key and one key of its own, all absent from the
+    // other tests so the summations race here.
+    const ZipfCase shared{1ull << 22, 0.61, 0xa8a1a41d378a10abULL};
+    const ZipfCase own[] = {
+        {1ull << 21, 0.3, 0xb07b473bfe2286d8ULL},
+        {1ull << 21, 0.4, 0x247bfb1e35a92901ULL},
+        {1ull << 21, 0.5, 0x4d8c9a6edab911c9ULL},
+        {1ull << 21, 0.6, 0x5c96c99ecc6ba39cULL},
+    };
+    constexpr unsigned kTasks = 4;
+    std::vector<std::uint64_t> sharedSums(kTasks), ownSums(kTasks);
+    WorkerPool pool(kTasks - 1);
+    pool.run(kTasks, [&](unsigned t) {
+        sharedSums[t] =
+            sampleChecksum(ZipfianGenerator(shared.n, shared.theta));
+        ownSums[t] = sampleChecksum(ZipfianGenerator(own[t].n, own[t].theta));
+    });
+    for (unsigned t = 0; t < kTasks; ++t) {
+        EXPECT_EQ(sharedSums[t], shared.checksum) << "task " << t;
+        EXPECT_EQ(ownSums[t], own[t].checksum) << "task " << t;
+    }
 }
 
 /** Property sweep: skew increases head concentration monotonically. */

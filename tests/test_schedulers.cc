@@ -136,9 +136,9 @@ TEST(FcfsBanks, AgeBreaksTiesAcrossBanks)
 
 TEST(FcfsBanks, EqualAgeHeadsResolveByRequestId)
 {
-    // Regression: the head-of-bank accounting lives in an
-    // unordered_map, and the selection loop once walked candidates in
-    // an order influenced by it — equal-arrival heads across banks
+    // Regression: the head-of-bank accounting once lived in an
+    // unordered_map, and the selection loop walked candidates in an
+    // order influenced by it — equal-arrival heads across banks
     // resolved by hash-bucket order, i.e. differently per stdlib.
     // The contract: ties on arrivedAt break on the lower request id,
     // regardless of how the candidate vector is permuted.
@@ -162,6 +162,32 @@ TEST(FcfsBanks, EqualAgeHeadsResolveByRequestId)
         EXPECT_EQ(p.all()[static_cast<std::size_t>(pick)].req->id, 0u)
             << "permutation " << perm;
     }
+}
+
+TEST(FcfsBanks, HeadTableResetsBetweenCalls)
+{
+    // The head-of-bank table is reused across calls. A stale bank-3
+    // head (index 1 of the first pool) would keep the second pool's
+    // bank-3 request from heading its bank, and a stale bank-0 head
+    // would shadow bank 0's new request.
+    FcfsBanksScheduler reused;
+    Pool first;
+    first.add(tk(10), 0, 0, false, false); // Bank 0 head, blocked.
+    first.add(tk(20), 1, 3, true, false);  // Bank 3 head: the pick.
+    first.add(tk(30), 2, 3, true, false);
+    ASSERT_EQ(reused.choose(first.all(), tk(100), ctx16()), 1);
+
+    Pool second;
+    second.add(tk(30), 0, 3, true, false);  // Bank 3's only request.
+    second.add(tk(20), 1, 5, false, false); // Bank 5, new, blocked.
+    second.add(tk(40), 2, 0, true, false);  // Bank 0's only request.
+    second.add(tk(35), 3, 0, true, false).req->coord.rank = 1; // New.
+    FcfsBanksScheduler fresh;
+    const int want = fresh.choose(second.all(), tk(200), ctx16());
+    EXPECT_EQ(want, 0); // Stale heads would leave only index 3.
+    EXPECT_EQ(reused.choose(second.all(), tk(200), ctx16()), want);
+    // And once more on the first pool, after the second grew the table.
+    EXPECT_EQ(reused.choose(first.all(), tk(300), ctx16()), 1);
 }
 
 // -------------------------------------------------------------- FR-FCFS
@@ -463,6 +489,43 @@ TEST(Rl, DeterministicGivenSeed)
                   b.choose(p.all(), now, ctx16()));
         now += kBaselineClocks.ticksPerDram;
     }
+}
+
+TEST(Rl, GreedyPickKeepsFirstOfEqualFeatures)
+{
+    // Candidates 1 and 2 are both row-hit demand reads under the same
+    // queue state, so they share one feature word and one Q-value; the
+    // strict '>' scan must keep the first, whatever their ages.
+    RlConfig cfg;
+    cfg.epsilon = 0.0;
+    cfg.starvationCycles = 100'000'000;
+    RlScheduler s(cfg);
+    // Train on the same queue state with the reads listed first: the
+    // greedy tie-break picks a read, and its reward lifts that word's
+    // Q-value above the activate's.
+    Pool train;
+    train.add(tk(10), 0, 1, true, true, DramCommandType::Read);
+    train.add(tk(20), 1, 2, true, true, DramCommandType::Read);
+    train.add(tk(30), 2, 0, true, false, DramCommandType::Activate);
+    Tick now{1000};
+    for (int i = 0; i < 300; ++i) {
+        (void)s.choose(train.all(), now, ctx16());
+        now += kBaselineClocks.ticksPerDram;
+    }
+    ASSERT_GT(s.updates(), 0u);
+
+    Pool p;
+    p.add(tk(30), 0, 0, true, false, DramCommandType::Activate);
+    p.add(tk(20), 1, 1, true, true, DramCommandType::Read);
+    p.add(tk(10), 2, 2, true, true, DramCommandType::Read); // Older.
+    int reads = 0;
+    for (int i = 0; i < 300; ++i) {
+        const int pick = s.choose(p.all(), now, ctx16());
+        ASSERT_NE(pick, 2) << "decision " << i;
+        reads += pick == 1;
+        now += kBaselineClocks.ticksPerDram;
+    }
+    EXPECT_EQ(reads, 300); // The shared word wins every decision.
 }
 
 TEST(Rl, UsesUnifiedQueues)
