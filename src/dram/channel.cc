@@ -27,6 +27,9 @@ Channel::Channel(const DramGeometry &geom, const DramTimings &timings,
     ranks_.reserve(geom_.ranksPerChannel);
     for (std::uint32_t r = 0; r < geom_.ranksPerChannel; ++r)
         ranks_.emplace_back(geom_.banksPerRank, geom_.bankGroupsPerRank);
+    bankGroup_.resize(geom_.banksPerRank);
+    for (std::uint32_t b = 0; b < geom_.banksPerRank; ++b)
+        bankGroup_[b] = geom_.bankGroupOf(b);
     rankOpenBanks_.assign(geom_.ranksPerChannel, 0);
     rankActiveSince_.assign(geom_.ranksPerChannel, Tick{});
     if (enableRefresh) {
@@ -42,6 +45,7 @@ Channel::Channel(const DramGeometry &geom, const DramTimings &timings,
             ranks_[r].scheduleRefresh(firstDue, interval);
         }
     }
+    updateEarliestRefreshDue();
 }
 
 bool
@@ -124,6 +128,7 @@ Channel::issue(const DramCommand &cmd, Tick now)
     Rank &rk = ranks_[cmd.rank];
     IssueResult res;
     cmdBusFreeAt_ = now + dct(1);
+    ++commandsIssued_;
 
     const auto onCas = [this, &cmd, &rk](Tick at) {
         const std::uint32_t group = groupOf(cmd);
@@ -205,6 +210,7 @@ Channel::issue(const DramCommand &cmd, Tick now)
             rk.refreshBank(cmd.bank, now, dct(tm_.tRFCpb));
         else
             rk.refresh(now, dct(tm_.tRFC));
+        updateEarliestRefreshDue();
         ++stats_.refreshes;
         break;
     }
@@ -223,8 +229,20 @@ Channel::resetStats(Tick now)
     }
 }
 
+void
+Channel::updateEarliestRefreshDue()
+{
+    earliestRefreshDue_ = kMaxTick;
+    for (const Rank &rk : ranks_) {
+        if (rk.refreshEnabled() &&
+            rk.nextRefreshDue() < earliestRefreshDue_) {
+            earliestRefreshDue_ = rk.nextRefreshDue();
+        }
+    }
+}
+
 Tick
-Channel::nextRefreshDueAfter(Tick now) const
+Channel::refreshDueAfterSlow(Tick now) const
 {
     Tick due = kMaxTick;
     for (const Rank &rk : ranks_) {
@@ -306,7 +324,7 @@ Channel::nextLegalAt(const DramCommand &cmd, Tick now) const
 }
 
 int
-Channel::refreshDueRank(Tick now) const
+Channel::firstRefreshDueRank(Tick now) const
 {
     for (std::uint32_t r = 0; r < ranks_.size(); ++r) {
         if (ranks_[r].refreshEnabled() && now >= ranks_[r].nextRefreshDue())

@@ -118,22 +118,32 @@ class Channel
         return ranks_[rank].bank(bankIdx);
     }
 
-    Rank &rank(std::uint32_t r) { return ranks_[r]; }
+    /** Read-only: refresh deadlines are cached channel-wide, so rank
+     *  state moves only through issue(). */
     const Rank &rank(std::uint32_t r) const { return ranks_[r]; }
     std::uint32_t numRanks() const
     {
         return static_cast<std::uint32_t>(ranks_.size());
     }
 
-    /** Rank index whose refresh deadline has passed, or -1. */
-    int refreshDueRank(Tick now) const;
+    /** Lowest rank index whose refresh deadline has passed, or -1. */
+    int
+    refreshDueRank(Tick now) const
+    {
+        return now < earliestRefreshDue_ ? -1 : firstRefreshDueRank(now);
+    }
 
     /** True when this channel refreshes one bank at a time (REFpb). */
     bool perBankRefresh() const { return tm_.perBankRefresh; }
 
     /** Earliest refresh deadline later than @p now over all ranks;
      *  kMaxTick when none (or refresh is disabled). */
-    Tick nextRefreshDueAfter(Tick now) const;
+    Tick
+    nextRefreshDueAfter(Tick now) const
+    {
+        return earliestRefreshDue_ > now ? earliestRefreshDue_
+                                         : refreshDueAfterSlow(now);
+    }
 
     /**
      * Event-kernel contract: the earliest tick >= now at which
@@ -146,6 +156,15 @@ class Channel
      * idle-skip window cannot happen.
      */
     Tick nextLegalAt(const DramCommand &cmd, Tick now) const;
+
+    /** Tick the command bus frees: no command issues before it. Only
+     *  grows, so a cached nextLegalAt() stays exact once re-clamped
+     *  to it (the controller's legality cache relies on that). */
+    Tick cmdBusFreeAt() const { return cmdBusFreeAt_; }
+
+    /** Commands issued on this channel since construction (never
+     *  reset), so an observer can tell whether anything issued. */
+    std::uint64_t commandsIssued() const { return commandsIssued_; }
 
     ChannelStats &stats() { return stats_; }
     const ChannelStats &stats() const { return stats_; }
@@ -176,16 +195,26 @@ class Channel
 
     bool canIssueCas(const DramCommand &cmd, Tick now, bool isRead) const;
 
-    /** Bank group of a command's bank (geometry convention). */
+    /** Bank group of a command's bank (geometry convention), from a
+     *  table built once so the hot path does not divide. */
     std::uint32_t groupOf(const DramCommand &cmd) const
     {
-        return geom_.bankGroupOf(cmd.bank);
+        return bankGroup_[cmd.bank];
     }
+
+    int firstRefreshDueRank(Tick now) const;
+    Tick refreshDueAfterSlow(Tick now) const;
+    /** Recompute earliestRefreshDue_ after a deadline moved. */
+    void updateEarliestRefreshDue();
 
     DramGeometry geom_;
     DramTimings tm_;
     ClockDomains clk_;
     std::vector<Rank> ranks_;
+    std::vector<std::uint32_t> bankGroup_; ///< Bank index -> group.
+    /** Earliest refresh deadline over the ranks (kMaxTick: none). */
+    Tick earliestRefreshDue_ = kMaxTick;
+    std::uint64_t commandsIssued_ = 0;
 
     Tick cmdBusFreeAt_;  ///< One command per tCK.
     Tick nextRdAt_;      ///< tCCD_S spacing between reads.

@@ -22,6 +22,39 @@ MemController::MemController(Channel &channel,
               "write drain watermarks inverted");
     stats_.perCoreReads.assign(numCores_ + 1, 0);
     stats_.perCoreLatencyTicks.assign(numCores_ + 1, TickSpan{});
+
+    banksPerRank_ = channel_.geometry().banksPerRank;
+    const std::size_t banks =
+        std::size_t{channel_.numRanks()} * banksPerRank_;
+    banks_.resize(banks);
+    for (std::uint32_t r = 0; r < channel_.numRanks(); ++r) {
+        for (std::uint32_t b = 0; b < banksPerRank_; ++b) {
+            BankState &bs = banks_[flatBank(r, b)];
+            bs.rank = r;
+            bs.bank = b;
+            bs.dram = &channel_.bank(r, b);
+        }
+    }
+    sets_.assign(banks);
+    syncWithChannel();
+}
+
+void
+MemController::syncWithChannel()
+{
+    for (std::size_t slot = 0; slot < kCachedCommands; ++slot)
+        sets_.clear(kLive + slot);
+    for (std::size_t b = 0; b < banks_.size(); ++b) {
+        BankState &bs = banks_[b];
+        bs.openRow = bs.dram->openRow();
+        if (bs.openRow != Bank::kNoRow)
+            sets_.set(kOpen, b);
+        else
+            sets_.reset(kOpen, b);
+        sets_.set(kStale, b);
+        sets_.set(kStale + 1, b);
+    }
+    seenCommands_ = channel_.commandsIssued();
 }
 
 void
@@ -61,7 +94,151 @@ MemController::enqueue(Request *req, Tick now)
         stats_.writeQueueLen.update(now,
                                     static_cast<double>(writeQ_.size()));
     }
+    req->seq = ++nextSeq_;
+    linkIntoBank(req);
+    ++queueChanges_;
     scheduler_->onRequestArrived(*req);
+}
+
+void
+MemController::noteHead(std::size_t b, Request *req)
+{
+    const int kind = req->isWrite ? 1 : 0;
+    BankState &bs = banks_[b];
+    const bool hit =
+        bs.openRow != Bank::kNoRow && req->coord.row == bs.openRow;
+    Request *&head = hit ? bs.hit[kind] : bs.other[kind];
+    if (!head || olderThan(*req, *head))
+        head = req;
+    if (req->availableAt > bs.gatedUntil[kind])
+        bs.gatedUntil[kind] = req->availableAt;
+}
+
+void
+MemController::linkIntoBank(Request *req)
+{
+    const std::size_t b = flatBank(req->coord.rank, req->coord.bank);
+    const int kind = req->isWrite ? 1 : 0;
+    BankState &bs = banks_[b];
+    req->bankPrev = bs.last[kind];
+    req->bankNext = nullptr;
+    (bs.last[kind] ? bs.last[kind]->bankNext : bs.first[kind]) = req;
+    bs.last[kind] = req;
+    sets_.set(kQueued + kind, b);
+    if (req->availableAt > latestGate_)
+        latestGate_ = req->availableAt;
+    if (!sets_.test(kStale + kind, b))
+        noteHead(b, req);
+}
+
+void
+MemController::unlinkFromBank(Request *req)
+{
+    const std::size_t b = flatBank(req->coord.rank, req->coord.bank);
+    const int kind = req->isWrite ? 1 : 0;
+    BankState &bs = banks_[b];
+    (req->bankPrev ? req->bankPrev->bankNext : bs.first[kind]) =
+        req->bankNext;
+    (req->bankNext ? req->bankNext->bankPrev : bs.last[kind]) =
+        req->bankPrev;
+    req->bankPrev = req->bankNext = nullptr;
+    if (!bs.first[kind])
+        sets_.reset(kQueued + kind, b);
+    sets_.set(kStale + kind, b);
+}
+
+void
+MemController::recomputeHeads(std::size_t b, int kind)
+{
+    BankState &bs = banks_[b];
+    bs.hit[kind] = bs.other[kind] = nullptr;
+    bs.gatedUntil[kind] = Tick{};
+    for (Request *r = bs.first[kind]; r; r = r->bankNext)
+        noteHead(b, r);
+    sets_.reset(kStale + kind, b);
+}
+
+static_assert(static_cast<int>(DramCommandType::Activate) == 0 &&
+                  static_cast<int>(DramCommandType::Read) == 1 &&
+                  static_cast<int>(DramCommandType::Write) == 2 &&
+                  static_cast<int>(DramCommandType::Precharge) == 3,
+              "legality-cache slots are indexed by command type");
+
+void
+MemController::fillLegal(std::size_t b, DramCommandType cmd)
+{
+    BankState &bs = banks_[b];
+    bs.legal[static_cast<std::size_t>(cmd)] = channel_.nextLegalAt(
+        DramCommand{cmd, bs.rank, bs.bank, bs.openRow, 0}, Tick{});
+    sets_.set(kLive + static_cast<std::size_t>(cmd), b);
+}
+
+std::optional<Tick>
+MemController::cachedLegalAt(std::uint32_t rank, std::uint32_t bank,
+                             DramCommandType cmd, Tick now) const
+{
+    const auto slot = static_cast<std::size_t>(cmd);
+    const std::size_t b = flatBank(rank, bank);
+    if (slot >= kCachedCommands || !sets_.test(kLive + slot, b))
+        return std::nullopt;
+    return std::max(banks_[b].legal[slot], legalFloor(now));
+}
+
+IssueResult
+MemController::issueCommand(const DramCommand &cmd, Tick now)
+{
+    const IssueResult res = channel_.issue(cmd, now);
+    const std::size_t b = flatBank(cmd.rank, cmd.bank);
+    const auto live = [](DramCommandType t) {
+        return kLive + static_cast<std::size_t>(t);
+    };
+    const auto dropBank = [this, b] {
+        for (std::size_t slot = 0; slot < kCachedCommands; ++slot)
+            sets_.reset(kLive + slot, b);
+    };
+    // tRRD_S/L, tFAW and refresh blocking: ACT legality is rank-wide.
+    const auto dropRankActivates = [this, &cmd, &live] {
+        const std::size_t first = flatBank(cmd.rank, 0);
+        for (std::size_t i = first; i < first + banksPerRank_; ++i)
+            sets_.reset(live(DramCommandType::Activate), i);
+    };
+    // A new open row reclassifies the bank's requests.
+    const auto rowChanged = [this, b](std::uint64_t row) {
+        banks_[b].openRow = row;
+        if (row != Bank::kNoRow)
+            sets_.set(kOpen, b);
+        else
+            sets_.reset(kOpen, b);
+        sets_.set(kStale, b);
+        sets_.set(kStale + 1, b);
+    };
+    switch (cmd.type) {
+      case DramCommandType::Activate:
+        dropBank();
+        dropRankActivates();
+        rowChanged(cmd.row);
+        break;
+      case DramCommandType::Precharge:
+        dropBank();
+        rowChanged(Bank::kNoRow);
+        break;
+      case DramCommandType::Read:
+      case DramCommandType::Write:
+        // tCCD_S/L, tRTW, tWTR, the data bus and tCS: CAS legality is
+        // channel-wide.
+        dropBank();
+        sets_.clear(live(DramCommandType::Read));
+        sets_.clear(live(DramCommandType::Write));
+        break;
+      case DramCommandType::Refresh:
+        if (channel_.perBankRefresh())
+            dropBank();
+        else
+            dropRankActivates();
+        break;
+    }
+    seenCommands_ = channel_.commandsIssued();
+    return res;
 }
 
 void
@@ -147,92 +324,95 @@ MemController::tryRefresh(Tick now)
         recordPrecharge(cmd->rank, cmd->bank, bank.openRow(),
                         bank.accessesThisActivation());
     }
-    channel_.issue(*cmd, now);
+    issueCommand(*cmd, now);
     return true;
 }
 
-void
-MemController::scanBankPool(std::uint32_t rank, std::uint32_t bank,
-                            std::uint64_t openRow, bool &pendingHit,
-                            bool &pendingConflict) const
+std::pair<int, int>
+MemController::activeKinds() const
 {
-    // Page policies see the *active* transaction pool: the read queue
-    // in read mode, the write queue while draining. Parked writes are
-    // not serviceable, so treating them as pending conflicts would
-    // collapse open-adaptive into close-adaptive whenever the write
-    // queue holds a few random writebacks.
-    pendingHit = false;
-    pendingConflict = false;
-    auto scan = [&](const std::vector<Request *> &q) {
-        for (const Request *req : q) {
-            if (req->coord.rank != rank || req->coord.bank != bank)
-                continue;
-            if (req->coord.row == openRow)
-                pendingHit = true;
-            else
-                pendingConflict = true;
-        }
-    };
-    if (scheduler_->unifiedQueues()) {
-        scan(readQ_);
-        scan(writeQ_);
-    } else if (drainingWrites_) {
-        scan(writeQ_);
-    } else {
-        scan(readQ_);
-    }
+    // Schedulers and page policies see the *active* transaction pool:
+    // the read queue in read mode, the write queue while draining.
+    // Parked writes are not serviceable, so treating them as pending
+    // conflicts would collapse open-adaptive into close-adaptive
+    // whenever the write queue holds a few random writebacks.
+    if (scheduler_->unifiedQueues())
+        return {0, 2};
+    return drainingWrites_ ? std::pair{1, 2} : std::pair{0, 1};
 }
 
 void
-MemController::buildCandidates(Tick now)
+MemController::addRequest(std::size_t b, Request *req, Tick floor,
+                          Tick now)
 {
-    cands_.clear();
-    auto addPool = [&](std::vector<Request *> &q) {
-        for (Request *req : q) {
-            const Bank &bank =
-                channel_.bank(req->coord.rank, req->coord.bank);
-            Candidate c;
-            c.req = req;
-            if (!bank.isOpen()) {
-                c.cmd = DramCommandType::Activate;
-                c.legalAt = channel_.nextLegalAt(
-                    DramCommand::activate(req->coord), now);
-            } else if (bank.openRow() == req->coord.row) {
-                c.cmd = req->isWrite ? DramCommandType::Write
-                                     : DramCommandType::Read;
-                c.isRowHit = true;
-                const auto cmd = req->isWrite
-                                     ? DramCommand::write(req->coord)
-                                     : DramCommand::read(req->coord);
-                c.legalAt = channel_.nextLegalAt(cmd, now);
-            } else {
-                c.cmd = DramCommandType::Precharge;
-                c.legalAt = channel_.nextLegalAt(
-                    DramCommand::precharge(req->coord.rank,
-                                           req->coord.bank),
-                    now);
-            }
-            // A backend-imposed earliest-service tick (a remap
-            // migration in flight over this request's slot) delays
-            // whichever command the request needs next. Zero for every
-            // flat-backend request.
-            if (req->availableAt > c.legalAt)
-                c.legalAt = req->availableAt;
-            // nextLegalAt clamps to now, so legality now is equivalent
-            // to canIssue() (test_event_kernel cross-checks the two;
-            // the availableAt clamp above only moves legalAt past now
-            // for mid-migration stacked-backend requests).
+    const std::uint64_t openRow = banks_[b].openRow;
+    DramCommandType cmd = DramCommandType::Precharge;
+    if (openRow == Bank::kNoRow)
+        cmd = DramCommandType::Activate;
+    else if (openRow == req->coord.row)
+        cmd = req->isWrite ? DramCommandType::Write : DramCommandType::Read;
+    // A backend-imposed earliest-service tick (a remap or tier
+    // migration in flight over this request's slot) delays whichever
+    // command the request needs next. Zero for most requests.
+    addCandidate(b, req, cmd, req->availableAt, floor, now);
+}
+
+void
+MemController::collectCandidates(Tick now)
+{
+    if (channel_.commandsIssued() == candsCommands_ &&
+        queueChanges_ == candsQueueChanges_ &&
+        drainingWrites_ == candsDraining_) {
+        // Only time has passed since the last build: the same requests
+        // need the same commands at the same unclamped legal ticks, and
+        // a gate open then is still open. Re-clamp to now.
+        for (Candidate &c : cands_) {
+            c.legalAt = std::max(c.legalAt, now);
             c.issuableNow = c.legalAt <= now;
-            cands_.push_back(c);
         }
-    };
-    if (scheduler_->unifiedQueues()) {
-        addPool(readQ_);
-        addPool(writeQ_);
-    } else if (drainingWrites_) {
-        addPool(writeQ_);
-    } else {
-        addPool(readQ_);
+        return;
+    }
+    candsCommands_ = channel_.commandsIssued();
+    candsQueueChanges_ = queueChanges_;
+    candsDraining_ = drainingWrites_;
+    cands_.clear();
+    const Tick floor = legalFloor(now);
+    const auto [firstKind, endKind] = activeKinds();
+    if (scheduler_->choosesBankHeads()) {
+        const bool gates = latestGate_ > now;
+        for (int k = firstKind; k < endKind; ++k) {
+            sets_.visitUntil(kQueued + k, [&](std::size_t b) {
+                const BankState &h = freshHeads(b, k);
+                if (gates && h.gatedUntil[k] > now) {
+                    // A gate splits the bank's groups: offer everyone.
+                    for (Request *r = h.first[k]; r; r = r->bankNext)
+                        addRequest(b, r, floor, now);
+                    return false;
+                }
+                // Ungated: no member's availableAt is past now, and the
+                // heads' commands follow from the bank state alone.
+                if (h.hit[k]) {
+                    addCandidate(b, h.hit[k],
+                                 k ? DramCommandType::Write
+                                   : DramCommandType::Read,
+                                 Tick{}, floor, now);
+                }
+                if (h.other[k]) {
+                    addCandidate(b, h.other[k],
+                                 sets_.test(kOpen, b)
+                                     ? DramCommandType::Precharge
+                                     : DramCommandType::Activate,
+                                 Tick{}, floor, now);
+                }
+                return false;
+            });
+        }
+        return;
+    }
+    for (int k = firstKind; k < endKind; ++k) {
+        for (Request *req : k ? writeQ_ : readQ_)
+            addRequest(flatBank(req->coord.rank, req->coord.bank), req,
+                       floor, now);
     }
 }
 
@@ -260,6 +440,8 @@ MemController::serviceCas(Request *req, Tick now, Tick dataReadyAt)
     }
 
     scheduler_->onRequestServiced(*req);
+    unlinkFromBank(req);
+    ++queueChanges_;
     if (req->isWrite) {
         removeFromQueue(writeQ_, req);
         stats_.writeQueueLen.update(now,
@@ -294,24 +476,24 @@ MemController::issueCandidate(const Candidate &cand, Tick now)
         const Bank &bank = channel_.bank(req->coord.rank, req->coord.bank);
         recordPrecharge(req->coord.rank, req->coord.bank, bank.openRow(),
                         bank.accessesThisActivation());
-        channel_.issue(
+        issueCommand(
             DramCommand::precharge(req->coord.rank, req->coord.bank), now);
         req->preIssued = true;
         return true;
       }
       case DramCommandType::Activate:
-        channel_.issue(DramCommand::activate(req->coord), now);
+        issueCommand(DramCommand::activate(req->coord), now);
         pagePolicy_->onActivate(req->coord.rank, req->coord.bank,
                                 req->coord.row);
         req->actIssued = true;
         return true;
       case DramCommandType::Read: {
-        const auto res = channel_.issue(DramCommand::read(req->coord), now);
+        const auto res = issueCommand(DramCommand::read(req->coord), now);
         serviceCas(req, now, res.dataReadyAt);
         return true;
       }
       case DramCommandType::Write:
-        channel_.issue(DramCommand::write(req->coord), now);
+        issueCommand(DramCommand::write(req->coord), now);
         serviceCas(req, now, Tick{});
         return true;
       default:
@@ -320,100 +502,54 @@ MemController::issueCandidate(const Candidate &cand, Tick now)
     return false;
 }
 
-MemController::BankPending
-MemController::gatherBankPending() const
-{
-    BankPending bp;
-    const std::uint32_t banksPerRank =
-        channel_.numRanks() ? channel_.rank(0).numBanks() : 0;
-    if (static_cast<std::uint64_t>(channel_.numRanks()) * banksPerRank >
-        64) {
-        return bp; // Fall back to per-bank scans.
-    }
-    auto scan = [&](const std::vector<Request *> &q) {
-        for (const Request *req : q) {
-            const Bank &bank =
-                channel_.bank(req->coord.rank, req->coord.bank);
-            if (!bank.isOpen())
-                continue;
-            const std::uint64_t bit =
-                1ull << (req->coord.rank * banksPerRank + req->coord.bank);
-            if (req->coord.row == bank.openRow())
-                bp.hit |= bit;
-            else
-                bp.conflict |= bit;
-        }
-    };
-    if (scheduler_->unifiedQueues()) {
-        scan(readQ_);
-        scan(writeQ_);
-    } else if (drainingWrites_) {
-        scan(writeQ_);
-    } else {
-        scan(readQ_);
-    }
-    bp.valid = true;
-    return bp;
-}
-
-void
-MemController::pendingOf(const BankPending &bp, std::uint32_t rank,
-                         std::uint32_t bank, std::uint64_t openRow,
-                         bool &pendingHit, bool &pendingConflict) const
-{
-    if (!bp.valid) {
-        scanBankPool(rank, bank, openRow, pendingHit, pendingConflict);
-        return;
-    }
-    const std::uint64_t bit =
-        1ull << (rank * channel_.rank(0).numBanks() + bank);
-    pendingHit = (bp.hit & bit) != 0;
-    pendingConflict = (bp.conflict & bit) != 0;
-}
-
 bool
 MemController::tryPolicyPrecharge(Tick now, Tick *nextCloseEvent)
 {
-    const BankPending bp = gatherBankPending();
     const auto consider = [nextCloseEvent](Tick t) {
         if (nextCloseEvent && t < *nextCloseEvent)
             *nextCloseEvent = t;
     };
-    for (std::uint32_t r = 0; r < channel_.numRanks(); ++r) {
-        const Rank &rank = channel_.rank(r);
-        for (std::uint32_t b = 0; b < rank.numBanks(); ++b) {
-            const Bank &bank = rank.bank(b);
-            if (!bank.isOpen())
+    const std::pair<int, int> kinds = activeKinds();
+    return sets_.visitUntil(kOpen, [&](std::size_t b) {
+        const BankState &bs = banks_[b];
+        PageQuery q;
+        q.rank = bs.rank;
+        q.bank = bs.bank;
+        q.openRow = bs.openRow;
+        q.accessesThisActivation = bs.dram->accessesThisActivation();
+        q.now = now;
+        q.lastAccessAt = bs.dram->lastAccessAt();
+        for (int k = kinds.first; k < kinds.second; ++k) {
+            if (!sets_.test(kQueued + k, b))
                 continue;
-            PageQuery q;
-            q.rank = r;
-            q.bank = b;
-            q.openRow = bank.openRow();
-            q.accessesThisActivation = bank.accessesThisActivation();
-            q.now = now;
-            q.lastAccessAt = bank.lastAccessAt();
-            pendingOf(bp, r, b, q.openRow, q.pendingHit, q.pendingConflict);
-            const auto pre = DramCommand::precharge(r, b);
-            if (!pagePolicy_->shouldClose(q)) {
-                consider(pagePolicy_->nextCloseEventAt(q));
-                continue;
-            }
-            if (!channel_.canIssue(pre, now)) {
-                consider(channel_.nextLegalAt(pre, now));
-                continue;
-            }
-            recordPrecharge(r, b, q.openRow, q.accessesThisActivation);
-            channel_.issue(pre, now);
-            return true;
+            const BankState &heads = freshHeads(b, k);
+            q.pendingHit |= heads.hit[k] != nullptr;
+            q.pendingConflict |= heads.other[k] != nullptr;
         }
-    }
-    return false;
+        if (!pagePolicy_->shouldClose(q)) {
+            consider(pagePolicy_->nextCloseEventAt(q));
+            return false;
+        }
+        const Tick legal =
+            std::max(unclampedLegalAt(b, DramCommandType::Precharge),
+                     legalFloor(now));
+        if (legal > now) {
+            consider(legal);
+            return false;
+        }
+        recordPrecharge(bs.rank, bs.bank, q.openRow,
+                        q.accessesThisActivation);
+        issueCommand(DramCommand::precharge(bs.rank, bs.bank), now);
+        return true;
+    });
 }
 
 Tick
 MemController::tick(Tick now)
 {
     const Tick nextCycle = now + clk_.dramToTicks(1);
+    if (channel_.commandsIssued() != seenCommands_)
+        syncWithChannel(); // Someone else issued on our channel.
     deliverResponses(now);
     updateDrainMode(now);
 
@@ -433,7 +569,7 @@ MemController::tick(Tick now)
     if (tryRefresh(now))
         return nextCycle;
 
-    buildCandidates(now);
+    collectCandidates(now);
     if (!cands_.empty()) {
         const int pick = scheduler_->choose(cands_, now, ctx);
         if (pick >= 0) {
@@ -477,7 +613,8 @@ MemController::nextEventAt(Tick now, Tick policyCloseEvent)
     consider(channel_.nextRefreshDueAfter(now));
 
     // First tick any queued request's next command becomes legal —
-    // already computed by this cycle's buildCandidates() pass.
+    // already computed by this cycle's collectCandidates() pass (each
+    // group head carries its whole group's legal tick).
     for (const Candidate &c : cands_)
         consider(c.legalAt);
 

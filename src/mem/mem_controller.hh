@@ -14,11 +14,13 @@
 #ifndef CLOUDMC_MEM_MEM_CONTROLLER_HH
 #define CLOUDMC_MEM_MEM_CONTROLLER_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hh"
@@ -102,7 +104,26 @@ struct MemControllerStats
     }
 };
 
-/** Memory controller for one channel. */
+/**
+ * Memory controller for one channel.
+ *
+ * Per-tick work is incremental. Besides the pool-ordered read and
+ * write queues (the order per-request schedulers see), every queued
+ * request sits in its bank's arrival-ordered list, and each bank keeps
+ * the oldest request of each (bank, next command) group, recomputed
+ * only after a request enters or leaves the bank or its open row
+ * changes. Legality is cached per (bank, ACT/RD/WR/PRE) as the
+ * channel's unclamped nextLegalAt(), dropped along the channel's
+ * constraint scopes when a command issues (the bank; the rank's ACTs
+ * on ACT and all-bank REF; every RD/WR on RD and WR), and clamped to
+ * the command bus and the current tick at use. Schedulers that declare
+ * Scheduler::choosesBankHeads() get those group heads as candidates,
+ * at most two per bank; the others get one candidate per pooled
+ * request. The same bank state answers the page policy's pending
+ * hit/conflict queries. While no command issues, no request enters or
+ * leaves and the drain mode holds, the candidate set is kept and only
+ * re-clamped to the current tick.
+ */
 class MemController
 {
   public:
@@ -156,23 +177,125 @@ class MemController
     const MemControllerStats &stats() const { return stats_; }
     void resetStats(Tick now);
 
-  private:
     /**
-     * Per-bank pending-row summary of the active transaction pool,
-     * computed in one pass instead of one queue scan per bank. Banks
-     * beyond 64 fall back to scanBankPool (no modeled geometry gets
-     * there today).
+     * Test hook: the cached legal tick of @p cmd (ACT, RD, WR or PRE;
+     * RD/WR to the open row) to (@p rank, @p bank), clamped the way
+     * tick(@p now) uses it, or nullopt when that entry is not live. A
+     * live entry equals channel().nextLegalAt(cmd, now).
      */
-    struct BankPending
-    {
-        std::uint64_t hit = 0;      ///< Bit per bank: open-row match.
-        std::uint64_t conflict = 0; ///< Bit per bank: other-row request.
-        bool valid = false;
+    std::optional<Tick> cachedLegalAt(std::uint32_t rank,
+                                      std::uint32_t bank,
+                                      DramCommandType cmd, Tick now) const;
+
+  private:
+    /** Legality-cache slots, indexed by DramCommandType (ACT, RD, WR,
+     *  PRE; refresh is not cached). */
+    static constexpr std::size_t kCachedCommands = 4;
+
+    /**
+     * Bank-indexed bit sets over flat rank-major bank indices (any
+     * bank count), all in one allocation: which banks queue reads or
+     * writes, whose group heads are stale, which are open, and which
+     * legality entries are live.
+     */
+    enum BankSetId : std::size_t {
+        kQueued = 0, ///< + queue kind (0 reads, 1 writes).
+        kStale = 2,  ///< + queue kind: group heads need a recompute.
+        kOpen = 4,
+        kLive = 5, ///< + DramCommandType (ACT, RD, WR, PRE).
+        kNumBankSets = kLive + kCachedCommands,
     };
-    BankPending gatherBankPending() const;
-    void pendingOf(const BankPending &bp, std::uint32_t rank,
-                   std::uint32_t bank, std::uint64_t openRow,
-                   bool &pendingHit, bool &pendingConflict) const;
+    class BankSets
+    {
+      public:
+        void
+        assign(std::size_t banks)
+        {
+            words_ = (banks + 63) / 64;
+            bits_.assign(words_ * kNumBankSets, 0);
+        }
+        bool
+        test(std::size_t s, std::size_t b) const
+        {
+            return bits_[index(s, b >> 6)] & bit(b);
+        }
+        void
+        set(std::size_t s, std::size_t b)
+        {
+            bits_[index(s, b >> 6)] |= bit(b);
+        }
+        void
+        reset(std::size_t s, std::size_t b)
+        {
+            bits_[index(s, b >> 6)] &= ~bit(b);
+        }
+        void
+        clear(std::size_t s)
+        {
+            for (std::size_t w = 0; w < words_; ++w)
+                bits_[index(s, w)] = 0;
+        }
+
+        /** Call @p f on each member of set @p s in index order until it
+         *  returns true; returns whether one did. */
+        template <typename F>
+        bool
+        visitUntil(std::size_t s, F &&f) const
+        {
+            for (std::size_t w = 0; w < words_; ++w) {
+                for (std::uint64_t m = bits_[index(s, w)]; m; m &= m - 1) {
+                    if (f(w * 64 + static_cast<std::size_t>(
+                                       __builtin_ctzll(m)))) {
+                        return true;
+                    }
+                }
+            }
+            return false;
+        }
+
+      private:
+        static std::uint64_t bit(std::size_t b) { return 1ull << (b & 63); }
+        /** Word-major: the sets' words for one run of 64 banks sit
+         *  together. */
+        static std::size_t
+        index(std::size_t s, std::size_t w)
+        {
+            return w * kNumBankSets + s;
+        }
+        std::size_t words_ = 0;
+        std::vector<std::uint64_t> bits_;
+    };
+
+    /** Per-bank controller state; one flat rank-major array. */
+    struct BankState
+    {
+        /** [kind] The oldest member of each (bank, next command)
+         *  group: the oldest open-row hit, and the oldest other
+         *  request (it needs ACT when the bank is closed, else PRE).
+         *  Recomputed lazily once the bank's list or open row changed
+         *  (its kStale bit). */
+        Request *hit[2] = {};
+        Request *other[2] = {};
+        /** Unclamped nextLegalAt() per cached command; live where the
+         *  matching kLive bit is set. */
+        Tick legal[kCachedCommands];
+        /** [kind] Queued requests in arrival order: an intrusive list
+         *  through Request::bankPrev/bankNext. */
+        Request *first[2] = {};
+        Request *last[2] = {};
+        Tick gatedUntil[2]; ///< [kind] Latest member availableAt.
+        std::uint64_t openRow = Bank::kNoRow; ///< Mirrors the channel.
+        /** The channel's bank (its banks never move once built). */
+        const Bank *dram = nullptr;
+        std::uint32_t rank = 0;
+        std::uint32_t bank = 0;
+    };
+
+    std::size_t
+    flatBank(std::uint32_t rank, std::uint32_t bank) const
+    {
+        return std::size_t{rank} * banksPerRank_ + bank;
+    }
 
     /**
      * Earliest upcoming event for a quiescent controller (see tick()).
@@ -191,7 +314,30 @@ class MemController
      */
     std::optional<DramCommand> refreshStep(Tick now) const;
     bool tryRefresh(Tick now);
-    void buildCandidates(Tick now);
+    /** Queue kinds (0 reads, 1 writes) of the active pool: [first,
+     *  second). */
+    std::pair<int, int> activeKinds() const;
+    /** Fill cands_: bank heads, or one per pooled request. */
+    void collectCandidates(Tick now);
+    /** Append a candidate: @p req's next command @p cmd to flat bank
+     *  @p b, legal no earlier than @p gate nor @p floor (legalFloor()). */
+    void
+    addCandidate(std::size_t b, Request *req, DramCommandType cmd,
+                 Tick gate, Tick floor, Tick now)
+    {
+        Candidate &c = cands_.emplace_back();
+        c.req = req;
+        c.cmd = cmd;
+        c.isRowHit =
+            cmd == DramCommandType::Read || cmd == DramCommandType::Write;
+        c.legalAt =
+            std::max(std::max(unclampedLegalAt(b, cmd), floor), gate);
+        // Clamped to now, so legality now is equivalent to canIssue()
+        // (test_event_kernel cross-checks the two).
+        c.issuableNow = c.legalAt <= now;
+    }
+    /** addCandidate() with the command and gate read off @p req. */
+    void addRequest(std::size_t b, Request *req, Tick floor, Tick now);
     bool issueCandidate(const Candidate &cand, Tick now);
     /**
      * Issue a page-policy precharge if one is wanted and legal.
@@ -203,10 +349,48 @@ class MemController
     void serviceCas(Request *req, Tick now, Tick dataReadyAt);
     void recordPrecharge(std::uint32_t rank, std::uint32_t bank,
                          std::uint64_t row, std::uint32_t accesses);
-    void scanBankPool(std::uint32_t rank, std::uint32_t bank,
-                      std::uint64_t openRow, bool &pendingHit,
-                      bool &pendingConflict) const;
     void removeFromQueue(std::vector<Request *> &q, Request *req);
+
+    /** Issue @p cmd and drop the state it invalidates: the target
+     *  bank's legality entries and heads, every ACT entry of the rank
+     *  (ACT, all-bank REF), every RD/WR entry (RD, WR). */
+    IssueResult issueCommand(const DramCommand &cmd, Tick now);
+    /** Cached unclamped legal tick of @p cmd to flat bank @p b (RD/WR:
+     *  to its open row); legal at max(it, legalFloor(now)). */
+    Tick
+    unclampedLegalAt(std::size_t b, DramCommandType cmd)
+    {
+        const auto slot = static_cast<std::size_t>(cmd);
+        if (!sets_.test(kLive + slot, b))
+            fillLegal(b, cmd);
+        return banks_[b].legal[slot];
+    }
+    void fillLegal(std::size_t b, DramCommandType cmd);
+    /** The clamp applied to a cached entry at use: no command issues
+     *  before the command bus frees or before now. Exact because the
+     *  bus-free tick only grows. */
+    Tick
+    legalFloor(Tick now) const
+    {
+        return std::max(channel_.cmdBusFreeAt(), now);
+    }
+    /** Bank @p b's group heads for queue @p kind, recomputed first
+     *  if stale. */
+    const BankState &
+    freshHeads(std::size_t b, int kind)
+    {
+        if (sets_.test(kStale + kind, b))
+            recomputeHeads(b, kind);
+        return banks_[b];
+    }
+    void recomputeHeads(std::size_t b, int kind);
+    /** Fold @p req into bank @p b's heads for its queue kind. */
+    void noteHead(std::size_t b, Request *req);
+    void linkIntoBank(Request *req);
+    void unlinkFromBank(Request *req);
+    /** Rebuild every bank mirror after commands issued on the channel
+     *  by someone other than this controller. */
+    void syncWithChannel();
 
     Channel &channel_;
     ClockDomains clk_; ///< Mirrored from the channel at construction.
@@ -218,6 +402,24 @@ class MemController
     std::vector<Request *> readQ_;
     std::vector<Request *> writeQ_;
     std::vector<Candidate> cands_; ///< Reused each cycle.
+    /** Requests entered or left the queues (enqueue, service). */
+    std::uint64_t queueChanges_ = 0;
+    /** What cands_ was built from: the channel's command count, the
+     *  queue changes and the drain mode. While all three still match,
+     *  only time has passed and cands_ is rebuilt by re-clamping. */
+    std::uint64_t candsCommands_ = ~std::uint64_t{0};
+    std::uint64_t candsQueueChanges_ = 0;
+    bool candsDraining_ = false;
+
+    std::uint32_t banksPerRank_;
+    std::vector<BankState> banks_; ///< Flat rank-major, ranks x banks.
+    BankSets sets_;
+    /** Latest availableAt ever enqueued: while now is past it no bank
+     *  is gated, so the per-bank gates need no look. */
+    Tick latestGate_;
+    std::uint64_t nextSeq_ = 0;
+    /** channel_.commandsIssued() as of this controller's last issue. */
+    std::uint64_t seenCommands_ = 0;
 
     struct PendingResponse
     {

@@ -42,6 +42,15 @@ struct Request
      *  controller clamps every command's legal tick to it. */
     Tick availableAt;
 
+    // --- controller bookkeeping (set by MemController::enqueue) ---
+    /** Enqueue order at this request's controller: the age tie-break
+     *  for requests that arrived on the same tick. */
+    std::uint64_t seq = 0;
+    /** Neighbours in the controller's per-bank arrival-ordered list of
+     *  queued reads (or writes). */
+    Request *bankPrev = nullptr;
+    Request *bankNext = nullptr;
+
     RowOutcome outcome = RowOutcome::Unknown;
 
     // --- scheduler scratch state ---
@@ -49,6 +58,15 @@ struct Request
     bool preIssued = false; ///< A conflict PRE was issued for us.
     bool actIssued = false; ///< An ACT was issued for us.
 };
+
+/** Age order of the controller and the age-ordered schedulers:
+ *  earlier arrival first, then earlier enqueue (Request::seq). */
+inline bool
+olderThan(const Request &a, const Request &b)
+{
+    return a.arrivedAt != b.arrivedAt ? a.arrivedAt < b.arrivedAt
+                                      : a.seq < b.seq;
+}
 
 } // namespace mcsim
 

@@ -9,10 +9,8 @@ FcfsScheduler::choose(const std::vector<Candidate> &cands, Tick,
     // Find the globally oldest request; issue only its command.
     int oldest = -1;
     for (std::size_t i = 0; i < cands.size(); ++i) {
-        if (oldest < 0 ||
-            cands[i].req->arrivedAt < cands[oldest].req->arrivedAt) {
+        if (oldest < 0 || olderThan(*cands[i].req, *cands[oldest].req))
             oldest = static_cast<int>(i);
-        }
     }
     if (oldest >= 0 && cands[oldest].issuableNow)
         return oldest;
@@ -26,18 +24,17 @@ FcfsBanksScheduler::choose(const std::vector<Candidate> &cands, Tick,
     // Oldest request per (rank, bank) is eligible; among the eligible
     // and issuable ones, pick the oldest overall (age fairness across
     // banks; the bank queues themselves are strictly in order).
-    // Selection walks the candidate vector in index order with an
-    // (arrivedAt, id) tie-break, so two banks whose heads arrived on
-    // the same tick resolve by request id, never by table layout.
+    // A bank's head is its oldest request by olderThan(); selection
+    // among heads uses an (arrivedAt, id) tie-break, so two banks whose
+    // heads arrived on the same tick resolve by request id (unique per
+    // System), never by table layout or candidate order.
     for (std::size_t i = 0; i < cands.size(); ++i) {
         const std::uint32_t key = cands[i].req->coord.flatBankKey();
         if (key >= headOfBank_.size())
             headOfBank_.resize(key + 1, -1);
         int &head = headOfBank_[key];
-        if (head < 0 ||
-            cands[i].req->arrivedAt < cands[head].req->arrivedAt) {
+        if (head < 0 || olderThan(*cands[i].req, *cands[head].req))
             head = static_cast<int>(i);
-        }
     }
     int best = -1;
     for (std::size_t i = 0; i < cands.size(); ++i) {
@@ -69,16 +66,13 @@ FrFcfsScheduler::choose(const std::vector<Candidate> &cands, Tick,
         if (!cands[i].issuableNow)
             continue;
         const int idx = static_cast<int>(i);
-        if (cands[i].isRowHit) {
-            if (bestHit < 0 ||
-                cands[i].req->arrivedAt < cands[bestHit].req->arrivedAt) {
-                bestHit = idx;
-            }
+        const Request &r = *cands[i].req;
+        if (cands[i].isRowHit &&
+            (bestHit < 0 || olderThan(r, *cands[bestHit].req))) {
+            bestHit = idx;
         }
-        if (bestAny < 0 ||
-            cands[i].req->arrivedAt < cands[bestAny].req->arrivedAt) {
+        if (bestAny < 0 || olderThan(r, *cands[bestAny].req))
             bestAny = idx;
-        }
     }
     return bestHit >= 0 ? bestHit : bestAny;
 }

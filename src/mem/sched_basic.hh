@@ -22,6 +22,7 @@ class FcfsScheduler : public Scheduler
 {
   public:
     const char *name() const override { return "FCFS"; }
+    bool choosesBankHeads() const override { return true; }
     int choose(const std::vector<Candidate> &cands, Tick now,
                const SchedulerContext &ctx) override;
 };
@@ -36,6 +37,7 @@ class FcfsBanksScheduler : public Scheduler
 {
   public:
     const char *name() const override { return "FCFS_banks"; }
+    bool choosesBankHeads() const override { return true; }
     int choose(const std::vector<Candidate> &cands, Tick now,
                const SchedulerContext &ctx) override;
 
@@ -53,6 +55,7 @@ class FrFcfsScheduler : public Scheduler
 {
   public:
     const char *name() const override { return "FR-FCFS"; }
+    bool choosesBankHeads() const override { return true; }
     int choose(const std::vector<Candidate> &cands, Tick now,
                const SchedulerContext &ctx) override;
 };

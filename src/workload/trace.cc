@@ -79,6 +79,14 @@ TraceWorkload::TraceWorkload(const std::string &path)
         std::fclose(f);
         mc_fatal("'", path, "' is not a cloudmc trace");
     }
+    // Records carry a 16-bit core id (TraceWriter enforces it), so a
+    // larger count can only come from a corrupt or hostile header;
+    // refuse it before it sizes the per-core tables.
+    if (hdr.numCores > 0x10000u) {
+        std::fclose(f);
+        mc_fatal("trace '", path, "' declares ", hdr.numCores,
+                 " cores; the 16-bit core field allows at most 65536");
+    }
     numCores_ = hdr.numCores;
     cores_.resize(numCores_);
 
@@ -98,8 +106,22 @@ TraceWorkload::TraceWorkload(const std::string &path)
             std::fclose(f);
             mc_fatal("trace record core ", fr.core, " out of range");
         }
+        const bool fetch =
+            fr.type == static_cast<std::uint8_t>(TraceRecord::Type::Fetch);
+        if (!fetch &&
+            fr.type != static_cast<std::uint8_t>(TraceRecord::Type::Op)) {
+            std::fclose(f);
+            mc_fatal("trace '", path, "' record ", totalRecords_,
+                     " has unknown type ", unsigned{fr.type});
+        }
+        if (!fetch &&
+            fr.kind > static_cast<std::uint8_t>(Op::Kind::Store)) {
+            std::fclose(f);
+            mc_fatal("trace '", path, "' record ", totalRecords_,
+                     " has unknown op kind ", unsigned{fr.kind});
+        }
         ++totalRecords_;
-        if (fr.type == static_cast<std::uint8_t>(TraceRecord::Type::Fetch)) {
+        if (fetch) {
             cores_[fr.core].fetches.push_back(fr.addr);
         } else {
             TraceRecord rec;

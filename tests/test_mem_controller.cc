@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/random.hh"
 #include "dram/channel.hh"
+#include "dram/devices.hh"
 #include "mem/factory.hh"
 #include "mem/mem_controller.hh"
 
@@ -492,3 +494,245 @@ INSTANTIATE_TEST_SUITE_P(
                           PagePolicyKind::Open, PagePolicyKind::Close,
                           PagePolicyKind::Timer,
                           PagePolicyKind::History)));
+
+namespace {
+
+/**
+ * One controller on one channel of a registry device, fed a seeded
+ * random request stream: reads and writes over a few rows of every
+ * bank (hits, misses and conflicts), some gated by availableAt as a
+ * migrating backend would gate them.
+ */
+struct DeviceRig
+{
+    DeviceRig(const std::string &device, std::unique_ptr<Scheduler> sched,
+              PagePolicyKind policy)
+        : dev(dramDeviceOrDie(device)),
+          clk(ClockDomains::fromMhz(kBaselineClocks.coreMhz, dev.busMhz)),
+          channel(dev.geometry, dev.timings, true, clk),
+          mc(channel, std::move(sched), makePagePolicy(policy, clk), 16)
+    {
+        mc.setCompletionCallback([this](Request *req, Tick at) {
+            done.emplace_back(req->id, at);
+        });
+        channel.setCommandHook([this](const DramCommand &c, Tick at) {
+            cmds.push_back({c, at});
+        });
+    }
+
+    /**
+     * Enqueue a random request at DRAM cycle @p cycle, tick @p now
+     * (queue depth permitting). Every 3000 cycles traffic pauses for
+     * 1000 so the queues drain and all-bank refreshes, which wait for
+     * every bank of a rank to close, get to issue.
+     */
+    void
+    maybeEnqueue(Pcg32 &rng, int cycle, Tick now)
+    {
+        if (cycle % 3000 >= 2000 || rng.below(3) != 0 ||
+            mc.readQueueLen() + mc.writeQueueLen() >= 40) {
+            return;
+        }
+        auto req = std::make_unique<Request>();
+        req->id = storage.size();
+        req->core = rng.below(16);
+        req->isWrite = rng.below(10) < 3;
+        req->coord.rank = rng.below(dev.geometry.ranksPerChannel);
+        req->coord.bank = rng.below(dev.geometry.banksPerRank);
+        req->coord.row = rng.below(3);
+        req->coord.column = rng.below(64);
+        req->addr = (((req->coord.row * 64 + req->coord.bank) * 4 +
+                      req->coord.rank) * 64 + req->coord.column) * 64;
+        if (rng.below(8) == 0)
+            req->availableAt = now + clk.dramToTicks(rng.below(120));
+        storage.push_back(std::move(req));
+        mc.enqueue(storage.back().get(), now);
+    }
+
+    const DramDevice &dev;
+    ClockDomains clk;
+    Channel channel;
+    MemController mc;
+    std::vector<std::unique_ptr<Request>> storage;
+    std::vector<std::pair<std::uint64_t, Tick>> done;
+    std::vector<std::pair<DramCommand, Tick>> cmds;
+};
+
+const char *const kRigDevices[] = {"DDR3-1600", "DDR4-2400", "DDR5-4800",
+                                   "LPDDR3-1600", "HMC2-8GB"};
+
+/**
+ * An age-ordered scheduler offered every pooled request instead of
+ * bank heads: the reference the bank-head candidates must match.
+ */
+class EveryRequest : public Scheduler
+{
+  public:
+    explicit EveryRequest(std::unique_ptr<Scheduler> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    const char *name() const override { return inner_->name(); }
+    int
+    choose(const std::vector<Candidate> &cands, Tick now,
+           const SchedulerContext &ctx) override
+    {
+        return inner_->choose(cands, now, ctx);
+    }
+    void onRequestArrived(const Request &r) override
+    {
+        inner_->onRequestArrived(r);
+    }
+    void onRequestServiced(const Request &r) override
+    {
+        inner_->onRequestServiced(r);
+    }
+    void tick(Tick now, const SchedulerContext &ctx) override
+    {
+        inner_->tick(now, ctx);
+    }
+    Tick nextEventAt(Tick now) const override
+    {
+        return inner_->nextEventAt(now);
+    }
+    bool unifiedQueues() const override { return inner_->unifiedQueues(); }
+
+  private:
+    std::unique_ptr<Scheduler> inner_;
+};
+
+} // namespace
+
+TEST(MemController, LegalityCacheMatchesChannel)
+{
+    // After every tick, every live (bank, command) entry, clamped the
+    // way the controller uses it at the next cycle, must equal the
+    // channel's own nextLegalAt(). Covers the bank-head schedulers,
+    // per-request ones (RL with unified queues) and page closures.
+    const SchedulerKind scheds[] = {
+        SchedulerKind::FrFcfs, SchedulerKind::Rl, SchedulerKind::ParBs};
+    const PagePolicyKind policies[] = {PagePolicyKind::OpenAdaptive,
+                                       PagePolicyKind::Close};
+    const DramCommandType types[] = {
+        DramCommandType::Activate, DramCommandType::Read,
+        DramCommandType::Write, DramCommandType::Precharge};
+    for (const char *device : kRigDevices) {
+        for (const SchedulerKind sched : scheds) {
+            for (const PagePolicyKind policy : policies) {
+                SCOPED_TRACE(std::string(device) + " / " +
+                             schedulerKindName(sched) + " / " +
+                             pagePolicyKindName(policy));
+                const DramDevice &dev = dramDeviceOrDie(device);
+                const ClockDomains clk = ClockDomains::fromMhz(
+                    kBaselineClocks.coreMhz, dev.busMhz);
+                DeviceRig rig(device,
+                              makeScheduler(sched, 16, SchedulerParams{},
+                                            clk, dev.timings),
+                              policy);
+                Pcg32 rng(7, static_cast<std::uint64_t>(sched));
+                std::uint64_t live = 0;
+                Tick now{};
+                // Long enough for all-bank refreshes (tREFI is 6240
+                // DDR3 cycles) as well as REFpb.
+                for (int cycle = 0; cycle < 14000; ++cycle) {
+                    rig.maybeEnqueue(rng, cycle, now);
+                    rig.mc.tick(now);
+                    now += clk.dramToTicks(1);
+                    for (std::uint32_t r = 0;
+                         r < dev.geometry.ranksPerChannel; ++r) {
+                        for (std::uint32_t b = 0;
+                             b < dev.geometry.banksPerRank; ++b) {
+                            const std::uint64_t row =
+                                rig.channel.bank(r, b).openRow();
+                            for (const DramCommandType t : types) {
+                                const auto cached =
+                                    rig.mc.cachedLegalAt(r, b, t, now);
+                                if (!cached)
+                                    continue;
+                                ++live;
+                                ASSERT_EQ(*cached,
+                                          rig.channel.nextLegalAt(
+                                              DramCommand{t, r, b, row, 0},
+                                              now))
+                                    << dramCommandName(t) << " rank " << r
+                                    << " bank " << b << " cycle " << cycle;
+                            }
+                        }
+                    }
+                }
+                EXPECT_GT(live, 0u);
+                EXPECT_GT(rig.done.size(), 100u);
+                EXPECT_GT(rig.channel.stats().refreshes, 0u);
+            }
+        }
+    }
+}
+
+TEST(MemController, BankHeadsMatchPerRequestCandidates)
+{
+    // FR-FCFS, FCFS and FCFS_banks see only bank heads; the same
+    // schedulers offered every request must issue the identical
+    // command stream and complete the same requests at the same ticks,
+    // with both controllers stepped on their own wake-up hints the way
+    // the event kernel steps them. A fifth of the requests are gated
+    // by availableAt, which splits a bank's groups.
+    const SchedulerKind scheds[] = {SchedulerKind::FrFcfs,
+                                    SchedulerKind::Fcfs,
+                                    SchedulerKind::FcfsBanks};
+    const PagePolicyKind policies[] = {PagePolicyKind::OpenAdaptive,
+                                       PagePolicyKind::CloseAdaptive,
+                                       PagePolicyKind::Close};
+    for (const char *device : {"DDR3-1600", "DDR5-4800", "LPDDR3-1600"}) {
+        for (const SchedulerKind sched : scheds) {
+            for (const PagePolicyKind policy : policies) {
+                SCOPED_TRACE(std::string(device) + " / " +
+                             schedulerKindName(sched) + " / " +
+                             pagePolicyKindName(policy));
+                const DramDevice &dev = dramDeviceOrDie(device);
+                const ClockDomains clk = ClockDomains::fromMhz(
+                    kBaselineClocks.coreMhz, dev.busMhz);
+                DeviceRig heads(device, makeScheduler(sched, 16), policy);
+                DeviceRig every(device,
+                                std::make_unique<EveryRequest>(
+                                    makeScheduler(sched, 16)),
+                                policy);
+                ASSERT_TRUE(heads.mc.scheduler().choosesBankHeads());
+                ASSERT_FALSE(every.mc.scheduler().choosesBankHeads());
+                Pcg32 rngA(11, static_cast<std::uint64_t>(sched));
+                Pcg32 rngB(11, static_cast<std::uint64_t>(sched));
+                Tick dueA{}, dueB{};
+                Tick now{};
+                for (int cycle = 0; cycle < 14000; ++cycle) {
+                    const std::size_t queuedA = heads.storage.size();
+                    heads.maybeEnqueue(rngA, cycle, now);
+                    every.maybeEnqueue(rngB, cycle, now);
+                    if (heads.storage.size() != queuedA) {
+                        dueA = now; // Arrivals re-arm the controllers.
+                        dueB = now;
+                    }
+                    if (dueA <= now)
+                        dueA = heads.mc.tick(now);
+                    if (dueB <= now)
+                        dueB = every.mc.tick(now);
+                    now += clk.dramToTicks(1);
+                }
+                ASSERT_EQ(heads.cmds.size(), every.cmds.size());
+                for (std::size_t i = 0; i < heads.cmds.size(); ++i) {
+                    const auto &[a, at] = heads.cmds[i];
+                    const auto &[b, bt] = every.cmds[i];
+                    ASSERT_TRUE(a.type == b.type && a.rank == b.rank &&
+                                a.bank == b.bank && a.row == b.row &&
+                                a.column == b.column && at == bt)
+                        << "command " << i << ": heads issued "
+                        << dramCommandName(a.type) << " at " << at
+                        << ", every-request issued "
+                        << dramCommandName(b.type) << " at " << bt;
+                }
+                EXPECT_EQ(heads.done, every.done);
+                EXPECT_GT(heads.done.size(), 100u);
+                EXPECT_GT(heads.channel.stats().refreshes, 0u);
+            }
+        }
+    }
+}

@@ -9,6 +9,8 @@
 #include <memory>
 #include <vector>
 
+#include "common/random.hh"
+#include "dram/bank.hh"
 #include "mem/factory.hh"
 #include "mem/sched_atlas.hh"
 #include "mem/sched_basic.hh"
@@ -800,5 +802,120 @@ TEST(Factory, AllSchedulersConstructible)
         ASSERT_NE(s, nullptr);
         EXPECT_STREQ(s->name(), schedulerKindName(kind));
         EXPECT_EQ(schedulerKindFromName(s->name()), kind);
+    }
+}
+
+// ------------------------------------------------- bank-head contract
+
+TEST(Schedulers, BankHeadsPickTheSameRequest)
+{
+    // The choosesBankHeads() contract: over random pools, choose() on
+    // the heads-only set the controller builds (the first request of
+    // each closed bank; the first open-row hit and first other request
+    // of each open bank; every request of a bank holding one gated by
+    // availableAt) picks the same request as on the full per-request
+    // set in pool order. Pools have equal-arrival ties across banks,
+    // shuffled request ids, gated requests and random per-(bank,
+    // command) legality; heads are offered in random order.
+    std::vector<std::unique_ptr<Scheduler>> scheds;
+    scheds.push_back(std::make_unique<FrFcfsScheduler>());
+    scheds.push_back(std::make_unique<FcfsScheduler>());
+    scheds.push_back(std::make_unique<FcfsBanksScheduler>());
+    constexpr std::uint32_t kBanks = 6; // 2 ranks x 3 banks.
+    const Tick now = tk(1000);
+    Pcg32 rng(2026, 5);
+    const auto shuffle = [&rng](auto &v) {
+        for (std::size_t i = v.size(); i > 1; --i)
+            std::swap(v[i - 1],
+                      v[rng.below(static_cast<std::uint32_t>(i))]);
+    };
+    for (int trial = 0; trial < 4000; ++trial) {
+        std::uint64_t openRow[kBanks];
+        bool legal[kBanks][4];
+        for (std::uint32_t b = 0; b < kBanks; ++b) {
+            openRow[b] = rng.below(3) == 0 ? Bank::kNoRow : rng.below(3);
+            for (bool &l : legal[b])
+                l = rng.below(2) == 0;
+        }
+        const std::uint32_t n = 1 + rng.below(24);
+        std::vector<std::uint64_t> ids(n);
+        for (std::uint32_t i = 0; i < n; ++i)
+            ids[i] = i;
+        shuffle(ids);
+        std::vector<std::unique_ptr<Request>> reqs;
+        Tick arrived = tk(0);
+        for (std::uint32_t i = 0; i < n; ++i) {
+            if (rng.below(3) == 0)
+                arrived += TickSpan{1 + rng.below(4)};
+            auto r = std::make_unique<Request>();
+            r->id = ids[i];
+            r->seq = i + 1; // Pool order is enqueue order.
+            r->arrivedAt = arrived;
+            const std::uint32_t key = rng.below(kBanks);
+            r->coord.rank = key / 3;
+            r->coord.bank = key % 3;
+            r->coord.row = rng.below(3);
+            if (rng.below(6) == 0)
+                r->availableAt = now + TickSpan{rng.below(3)};
+            reqs.push_back(std::move(r));
+        }
+        const auto keyOf = [](const Request &r) {
+            return r.coord.rank * 3 + r.coord.bank;
+        };
+        const auto candidateFor = [&](Request &r) {
+            const std::uint32_t key = keyOf(r);
+            Candidate c;
+            c.req = &r;
+            if (openRow[key] == Bank::kNoRow) {
+                c.cmd = DramCommandType::Activate;
+            } else if (openRow[key] == r.coord.row) {
+                c.cmd = DramCommandType::Read;
+                c.isRowHit = true;
+            } else {
+                c.cmd = DramCommandType::Precharge;
+            }
+            c.issuableNow = legal[key][static_cast<int>(c.cmd)] &&
+                            r.availableAt <= now;
+            return c;
+        };
+        std::vector<Candidate> full;
+        for (auto &r : reqs)
+            full.push_back(candidateFor(*r));
+        std::vector<Candidate> heads;
+        for (std::uint32_t b = 0; b < kBanks; ++b) {
+            bool gated = false;
+            Request *hit = nullptr;
+            Request *other = nullptr;
+            for (auto &r : reqs) {
+                if (keyOf(*r) != b)
+                    continue;
+                gated |= r->availableAt > now;
+                Request *&head = openRow[b] != Bank::kNoRow &&
+                                         r->coord.row == openRow[b]
+                                     ? hit
+                                     : other;
+                if (!head)
+                    head = r.get();
+            }
+            if (gated) {
+                for (auto &r : reqs) {
+                    if (keyOf(*r) == b)
+                        heads.push_back(candidateFor(*r));
+                }
+                continue;
+            }
+            if (hit)
+                heads.push_back(candidateFor(*hit));
+            if (other)
+                heads.push_back(candidateFor(*other));
+        }
+        shuffle(heads);
+        for (auto &s : scheds) {
+            const int a = s->choose(full, now, ctx16());
+            const int h = s->choose(heads, now, ctx16());
+            ASSERT_EQ(a < 0 ? nullptr : full[a].req,
+                      h < 0 ? nullptr : heads[h].req)
+                << s->name() << " trial " << trial;
+        }
     }
 }

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "workload/synthetic.hh"
 #include "workload/trace.hh"
@@ -152,6 +154,74 @@ TEST(TraceDeathTest, LoaderDiagnosesTruncatedTrailingRecord)
     }
     EXPECT_EXIT(TraceWorkload replay(path),
                 ::testing::ExitedWithCode(1), "ends mid-record");
+    std::remove(path.c_str());
+}
+
+namespace {
+
+/** Write a trace file byte by byte: the header, then raw records. */
+struct RawRecord
+{
+    std::uint8_t type;
+    std::uint8_t kind;
+    std::uint16_t core;
+    std::uint32_t length;
+    std::uint64_t addr;
+};
+
+void
+writeRawTrace(const std::string &path, std::uint32_t numCores,
+              const std::vector<RawRecord> &records)
+{
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    const char magic[8] = {'c', 'm', 'c', 't', 'r', 'c', '0', '1'};
+    const std::uint32_t reserved = 0;
+    std::fwrite(magic, 1, sizeof(magic), f);
+    std::fwrite(&numCores, sizeof(numCores), 1, f);
+    std::fwrite(&reserved, sizeof(reserved), 1, f);
+    for (const RawRecord &r : records) {
+        static_assert(sizeof(RawRecord) == 16, "on-disk record size");
+        std::fwrite(&r, sizeof(r), 1, f);
+    }
+    std::fclose(f);
+}
+
+} // namespace
+
+TEST(TraceDeathTest, LoaderRejectsUnknownOpKind)
+{
+    // Op::Kind has three values; a fourth would later be cast
+    // unchecked into the enum and replayed as garbage.
+    const std::string path = tempTracePath("badkind");
+    writeRawTrace(path, 1, {{0, 2, 0, 1, 64}, {0, 3, 0, 1, 128}});
+    EXPECT_EXIT(TraceWorkload replay(path), ::testing::ExitedWithCode(1),
+                "record 1 has unknown op kind 3");
+    std::remove(path.c_str());
+}
+
+TEST(TraceDeathTest, LoaderRejectsUnknownRecordType)
+{
+    // Only Op (0) and Fetch (1) exist; anything else is not an op.
+    const std::string path = tempTracePath("badtype");
+    writeRawTrace(path, 1, {{1, 0, 0, 1, 64}, {7, 0, 0, 1, 128}});
+    EXPECT_EXIT(TraceWorkload replay(path), ::testing::ExitedWithCode(1),
+                "record 1 has unknown type 7");
+    std::remove(path.c_str());
+}
+
+TEST(TraceDeathTest, LoaderRejectsCoreCountBeyond16Bits)
+{
+    // A 16-byte header alone must not be able to size ~4G per-core
+    // tables: records address cores through a 16-bit field.
+    const std::string path = tempTracePath("hugecores");
+    writeRawTrace(path, 0xFFFF'FFFFu, {});
+    EXPECT_EXIT(TraceWorkload replay(path), ::testing::ExitedWithCode(1),
+                "declares 4294967295 cores");
+    // The largest count the core field can address still loads.
+    writeRawTrace(path, 0x10000u, {{0, 1, 0xFFFF, 1, 64}});
+    TraceWorkload replay(path);
+    EXPECT_EQ(replay.numRecords(), 1u);
     std::remove(path.c_str());
 }
 
