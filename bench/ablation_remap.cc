@@ -60,7 +60,7 @@ class ZipfVaultTraffic final : public WorkloadGenerator
   public:
     ZipfVaultTraffic(const SimConfig &cfg, std::uint32_t numCores,
                      double theta, double memProb)
-        : geom_(flattened(cfg.dram)),
+        : geom_(cfg.dram.vaultsAsChannels()),
           mapper_(geom_, cfg.mapping, cfg.bankGroupMapping),
           banks_(geom_.banksPerRank),
           zipf_(static_cast<std::uint64_t>(geom_.channels) * banks_,
@@ -106,18 +106,6 @@ class ZipfVaultTraffic final : public WorkloadGenerator
         std::uint64_t codePos = 0;
     };
 
-    /** The stacked backend's mapper view: one "channel" per vault. */
-    static DramGeometry
-    flattened(const DramGeometry &g)
-    {
-        DramGeometry flat = g;
-        flat.channels = g.channels * g.vaultsPerStack;
-        flat.ranksPerChannel = 1;
-        flat.vaultsPerStack = 0;
-        flat.validate();
-        return flat;
-    }
-
     Op
     draw(CoreState &cs)
     {
@@ -142,7 +130,7 @@ class ZipfVaultTraffic final : public WorkloadGenerator
         return op;
     }
 
-    DramGeometry geom_;
+    DramGeometry geom_; ///< One channel per vault, as the backend sees it.
     AddressMapper mapper_;
     std::uint32_t banks_;
     ZipfianGenerator zipf_;

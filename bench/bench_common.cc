@@ -2,7 +2,9 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <string>
+
+#include "sim/knobs.hh"
 
 namespace mcsim::bench {
 
@@ -192,21 +194,47 @@ printFigure(const std::string &title, const std::string &metricName,
                 csv ? table.renderCsv().c_str() : table.render().c_str());
 }
 
+bool
+parseBenchFlags(int argc, char **argv, bool takesCsv)
+{
+    const auto fail = [&](const std::string &err) {
+        std::fprintf(stderr,
+                     "%s: %s\nusage: %s%s [--fast D] [--threads N]\n",
+                     argv[0], err.c_str(), argv[0],
+                     takesCsv ? " [--csv]" : "");
+        std::exit(2);
+    };
+    bool csv = false;
+    for (int i = 1; i < argc; ++i) {
+        const std::string flag = argv[i];
+        if (flag == "--csv" && takesCsv) {
+            csv = true;
+            continue;
+        }
+        if (flag != "--fast" && flag != "--threads")
+            fail("unknown flag '" + flag + "'");
+        if (i + 1 == argc)
+            fail(flag + " needs a value");
+        const std::string value = argv[++i];
+        std::uint64_t n = 0;
+        if (!parseUint(value, n) || n == 0) {
+            fail(flag + (flag == "--fast" ? ": needs a nonzero divisor"
+                                          : ": needs at least one thread") +
+                 ", got '" + value + "'");
+        }
+        setenv(flag == "--fast" ? "CLOUDMC_FAST" : "CLOUDMC_THREADS",
+               value.c_str(), 1);
+    }
+    return csv;
+}
+
 int
 figureMain(int argc, char **argv, const std::string &title,
            const std::string &metricName,
            std::vector<Series> (*study)(ExperimentRunner &),
            MetricFn metric, bool normalizeToFirst, int precision)
 {
-    bool csv = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--csv") == 0)
-            csv = true;
-        else if (std::strcmp(argv[i], "--fast") == 0 && i + 1 < argc)
-            setenv("CLOUDMC_FAST", argv[++i], 1);
-        else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-            setenv("CLOUDMC_THREADS", argv[++i], 1);
-    }
+    const bool csv = parseBenchFlags(argc, argv);
     ExperimentRunner runner;
     const auto series = study(runner);
     printFigure(title, metricName, series, metric, normalizeToFirst,

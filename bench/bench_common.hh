@@ -89,10 +89,20 @@ void printFigure(const std::string &title, const std::string &metricName,
                  bool csv = false);
 
 /**
- * Standard main() body: handles --csv, --fast N and --threads N
- * flags. Studies submit their whole sweep as one ExperimentRunner
- * batch, so uncached points run on a worker pool (CLOUDMC_THREADS or
- * the hardware concurrency by default).
+ * Parse the flags every figure and ablation binary shares: --csv
+ * (returned; accepted only when @p takesCsv), --fast D (a nonzero
+ * integer window divisor, exported as CLOUDMC_FAST) and --threads N
+ * (N >= 1, exported as CLOUDMC_THREADS). Anything else, or a
+ * malformed value, prints the error and a usage line to stderr and
+ * exits 2 before any simulation runs.
+ */
+bool parseBenchFlags(int argc, char **argv, bool takesCsv = true);
+
+/**
+ * Standard main() body: parseBenchFlags(), then the study. Studies
+ * submit their whole sweep as one ExperimentRunner batch, so uncached
+ * points run on a worker pool (CLOUDMC_THREADS or the hardware
+ * concurrency by default).
  */
 int figureMain(int argc, char **argv, const std::string &title,
                const std::string &metricName,

@@ -135,28 +135,15 @@ workloadByAcronym(const std::string &acr)
     return WorkloadId::WS;
 }
 
+/** Whether two runs agree exactly (every MetricSet field and the end
+ *  tick); names the first differing metric on stderr. */
 bool
-identical(const MetricSet &a, const MetricSet &b)
+sameRun(const KernelRun &a, const KernelRun &b, const char *what)
 {
-    return a.userIpc == b.userIpc && a.avgReadLatency == b.avgReadLatency &&
-           a.readLatencyP50 == b.readLatencyP50 &&
-           a.readLatencyP95 == b.readLatencyP95 &&
-           a.readLatencyP99 == b.readLatencyP99 &&
-           a.rowHitRatePct == b.rowHitRatePct && a.l2Mpki == b.l2Mpki &&
-           a.sameGroupCasPct == b.sameGroupCasPct &&
-           a.avgReadQueue == b.avgReadQueue &&
-           a.avgWriteQueue == b.avgWriteQueue &&
-           a.bwUtilPct == b.bwUtilPct &&
-           a.singleAccessPct == b.singleAccessPct &&
-           a.ipcDisparity == b.ipcDisparity &&
-           a.dramEnergyNj == b.dramEnergyNj &&
-           a.dramAvgPowerMw == b.dramAvgPowerMw &&
-           a.committedInstructions == b.committedInstructions &&
-           a.measuredCycles == b.measuredCycles &&
-           a.memReads == b.memReads && a.memWrites == b.memWrites &&
-           a.perCoreIpc == b.perCoreIpc &&
-           a.perCoreCommitted == b.perCoreCommitted &&
-           a.perCoreCycles == b.perCoreCycles;
+    const char *diff = firstDifferentMetric(a.metrics, b.metrics);
+    if (diff)
+        std::fprintf(stderr, "kernel_smoke: %s differ in %s\n", what, diff);
+    return !diff && a.endTick == b.endTick;
 }
 
 /**
@@ -414,8 +401,7 @@ main(int argc, char **argv)
 
     const KernelRun ref = runOnce(wl, dev, cycles, true, channels);
     const KernelRun ev = runOnce(wl, dev, cycles, false, channels);
-    bool bitIdentical =
-        identical(ev.metrics, ref.metrics) && ev.endTick == ref.endTick;
+    bool bitIdentical = sameRun(ev, ref, "event and reference kernels");
     const double speedup =
         ref.mticksPerS > 0.0 ? ev.mticksPerS / ref.mticksPerS : 0.0;
 
@@ -426,8 +412,8 @@ main(int argc, char **argv)
     double selfSpeedup = 0.0;
     if (kernelThreads > 1) {
         par = runOnce(wl, dev, cycles, false, channels, kernelThreads);
-        bitIdentical = bitIdentical && identical(par.metrics, ev.metrics) &&
-                       par.endTick == ev.endTick;
+        bitIdentical =
+            sameRun(par, ev, "parallel and event kernels") && bitIdentical;
         selfSpeedup =
             ev.mticksPerS > 0.0 ? par.mticksPerS / ev.mticksPerS : 0.0;
     }

@@ -4,7 +4,7 @@
  * on the Table 2 baseline and prints the characteristics the study is
  * calibrated against (row-buffer hit rate, L2 MPKI, single-access
  * activation fraction, bandwidth utilization), next to the targets
- * read off the paper's figures (DESIGN.md section 6).
+ * read off the paper's Figures 2, 4, 7 and 8.
  *
  * Usage: characterize [--fast N]   (N divides the simulation windows)
  */

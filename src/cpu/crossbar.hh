@@ -6,8 +6,9 @@
  * and a link from the LLC to the memory controllers. The paper never
  * varies the NoC, so cloudmc models each traversal as a fixed latency
  * with unlimited bandwidth: a FIFO of (ready tick, payload) pairs.
- * Port contention would shift all configurations equally and is
- * deliberately left out (see DESIGN.md).
+ * Port contention is deliberately left out: the study varies only
+ * the memory side, so contention in the crossbar would shift all
+ * configurations equally.
  */
 
 #ifndef CLOUDMC_CPU_CROSSBAR_HH

@@ -138,6 +138,27 @@ struct DramGeometry
                (vaultsPerStack ? vaultsPerStack : 1);
     }
 
+    /**
+     * A stacked geometry seen as flat channels: one single-rank
+     * channel per vault (channels * vaultsPerStack of them) with one
+     * vault's banks and rows each, so the capacity is unchanged. The
+     * stacked backend builds its vault media and its address mapping
+     * over this shape.
+     */
+    DramGeometry
+    vaultsAsChannels() const
+    {
+        mc_assert(vaultsPerStack > 0,
+                  "stacked backend needs geometry.vaultsPerStack > 0");
+        mc_assert(ranksPerChannel == 1,
+                  "stacked backend models one rank per vault");
+        DramGeometry flat = *this;
+        flat.channels = channels * vaultsPerStack;
+        flat.vaultsPerStack = 0;
+        flat.validate();
+        return flat;
+    }
+
     /** Validate power-of-two-ness; fatal on user error. */
     void
     validate() const

@@ -58,20 +58,26 @@ tryTierPolicyFromName(const std::string &name, TierPolicy &out)
 namespace {
 
 /**
- * The flat JEDEC backend: the paper's memory system. One DramSystem
- * channel per queue, one MemController in front of each, the scheme's
- * AddressMapper doing the routing. Statistics collection reproduces
- * the pre-backend System::collect() arithmetic bit for bit.
+ * The one memory-media class: a DramSystem over @p geom with @p media
+ * timings, one MemController per channel, and the AddressMapper over
+ * the same geometry doing the routing. Run over cfg.dram it is the
+ * paper's flat JEDEC backend; StackedDramBackend runs it over one
+ * channel per vault and TieredMemBackend's slow tier over the slow
+ * geometry and timings. Schedulers always get cfg.timings, the device
+ * the configuration names. Energy, power and bus utilization are
+ * summed channel by channel in queue order, which the tiered backend
+ * continues onto the fast tier's sums.
  */
-class FlatDramBackend final : public MemBackend
+class DramBackend : public MemBackend
 {
   public:
-    FlatDramBackend(const SimConfig &cfg, std::uint32_t numCores)
-        : power_(cfg.power), timings_(cfg.timings), clk_(cfg.clocks),
-          ranksPerChannel_(cfg.dram.ranksPerChannel),
-          banksPerRank_(cfg.dram.banksPerRank),
-          mapper_(cfg.dram, cfg.mapping, cfg.bankGroupMapping),
-          dram_(cfg.dram, cfg.timings, cfg.refreshEnabled, cfg.clocks)
+    DramBackend(const SimConfig &cfg, std::uint32_t numCores,
+                const DramGeometry &geom, const DramTimings &media)
+        : clk_(cfg.clocks),
+          dram_(geom, media, cfg.refreshEnabled, cfg.clocks),
+          mapper_(geom, cfg.mapping, cfg.bankGroupMapping),
+          energy_(cfg.power, media, geom.ranksPerChannel, geom.banksPerRank,
+                  cfg.clocks)
     {
         for (std::uint32_t ch = 0; ch < dram_.numChannels(); ++ch) {
             controllers_.push_back(std::make_unique<MemController>(
@@ -92,6 +98,10 @@ class FlatDramBackend final : public MemBackend
     }
 
     MemController &queue(std::uint32_t i) override { return *controllers_[i]; }
+    const MemController &queue(std::uint32_t i) const
+    {
+        return *controllers_[i];
+    }
 
     void
     route(Request &req, Tick) override
@@ -112,48 +122,58 @@ class FlatDramBackend final : public MemBackend
             mc->resetStats(now);
     }
 
+    /** Mean data-bus utilization over the channels, in [0,1]. */
     double
-    busUtilization(Tick now) const override
+    busUtilization(Tick now) const
     {
         return dram_.busUtilization(now);
     }
 
+    /** @p sum plus each channel's bus utilization, in queue order. */
+    double
+    addBusUtilization(double sum, Tick now) const
+    {
+        for (const auto &mc : controllers_)
+            sum += mc->channel().stats().busUtilization(now);
+        return sum;
+    }
+
+    /** @p sumNj plus each channel's window energy, in queue order. */
+    double
+    addEnergyNj(double sumNj, Tick now) const
+    {
+        for (const auto &mc : controllers_)
+            sumNj += energy_.estimate(mc->channel().stats(), now).totalNj();
+        return sumNj;
+    }
+
+    /** Mean power of @p energyNj over the statistics window. Every
+     *  channel's window starts at the same resetStats() tick, so the
+     *  elapsed time is one number, not per-controller. */
+    double
+    powerMw(double energyNj, Tick now) const
+    {
+        const double elapsedNs = clk_.ticksToNs(
+            now - controllers_.front()->channel().stats().statsStartTick);
+        return elapsedNs > 0.0 ? energyNj * 1e3 / elapsedNs : 0.0;
+    }
+
+    /** collect() fills, it never accumulates: the energy sum starts
+     *  from zero, so a second collect() into the same MetricSet is
+     *  idempotent. */
     void
     collect(MetricSet &m, Tick now) const override
     {
-        m.bwUtilPct = 100.0 * dram_.busUtilization(now);
-
-        const DramEnergyModel energyModel(power_, timings_,
-                                          ranksPerChannel_, banksPerRank_,
-                                          clk_);
-        // Every channel's stats window starts at the same resetStats()
-        // tick, so the elapsed time is one number, not per-controller.
-        const double elapsedNs =
-            controllers_.empty()
-                ? 0.0
-                : clk_.ticksToNs(
-                      now -
-                      controllers_.front()->channel().stats().statsStartTick);
-        // collect() fills, it never accumulates: zero the sum before
-        // adding so a second collect() into the same MetricSet is
-        // idempotent.
-        m.dramEnergyNj = 0.0;
-        for (const auto &mc : controllers_) {
-            m.dramEnergyNj +=
-                energyModel.estimate(mc->channel().stats(), now).totalNj();
-        }
-        m.dramAvgPowerMw =
-            elapsedNs > 0.0 ? m.dramEnergyNj * 1e3 / elapsedNs : 0.0;
+        m.bwUtilPct = 100.0 * busUtilization(now);
+        m.dramEnergyNj = addEnergyNj(0.0, now);
+        m.dramAvgPowerMw = powerMw(m.dramEnergyNj, now);
     }
 
   private:
-    DramPowerParams power_;
-    DramTimings timings_;
     ClockDomains clk_;
-    std::uint32_t ranksPerChannel_;
-    std::uint32_t banksPerRank_;
-    AddressMapper mapper_;
     DramSystem dram_;
+    AddressMapper mapper_;
+    DramEnergyModel energy_;
     std::vector<std::unique_ptr<MemController>> controllers_;
 };
 
@@ -271,55 +291,35 @@ class VaultRemapper
 };
 
 /**
- * HMC-style stacked DRAM: cfg.dram.channels stacks, each with
- * geometry.vaultsPerStack vaults of banksPerRank banks. Every vault
- * is its own single-channel Channel (so the vault-local command/data
- * buses and refresh are modeled independently) with a MemController
- * queue in front; the global queue index is stack * vaults + vault,
- * which is what coord.channel carries, so the event kernel's routing
- * and the parallel kernel's per-channel sharding decompose per vault
- * group with no kernel changes. The TSV return-path crossing is the
+ * HMC-style stacked DRAM: cfg.dram.channels stacks of
+ * geometry.vaultsPerStack vaults, run as the media class over one
+ * channel per vault (DramGeometry::vaultsAsChannels()), so each vault
+ * has its own command/data buses, refresh and MemController queue.
+ * The global queue index is stack * vaults + vault, which is what
+ * coord.channel carries, so the event kernel's routing and the
+ * parallel kernel's per-channel sharding decompose per vault group
+ * with no kernel changes. The TSV return-path crossing is the
  * device's tTSV timing, charged by the Channel on read data return.
  *
- * Static routing comes from an AddressMapper over the flattened
- * geometry (stacks * vaults "channels" of one rank), i.e. the
- * vault-interleave the mapping scheme implies. With remapping enabled
- * a per-stack VaultRemapper permutes (vault, bank) slots under it.
+ * Static routing is the mapping scheme's interleave over every vault
+ * in the system. With remapping enabled a per-stack VaultRemapper
+ * permutes (vault, bank) slots under it.
  */
-class StackedDramBackend final : public MemBackend
+class StackedDramBackend final : public DramBackend
 {
   public:
     StackedDramBackend(const SimConfig &cfg, std::uint32_t numCores)
-        : power_(cfg.power), timings_(cfg.timings), clk_(cfg.clocks),
-          stacks_(cfg.dram.channels), vaults_(cfg.dram.vaultsPerStack),
-          banks_(cfg.dram.banksPerRank), remapCfg_(cfg.remap),
-          mapper_(flattenedGeometry(cfg.dram), cfg.mapping,
-                  cfg.bankGroupMapping)
+        : DramBackend(cfg, numCores, cfg.dram.vaultsAsChannels(),
+                      cfg.timings),
+          vaults_(cfg.dram.vaultsPerStack), banks_(cfg.dram.banksPerRank),
+          remap_(cfg.remap.enabled)
     {
-        mc_assert(vaults_ > 0,
-                  "stacked backend needs geometry.vaultsPerStack > 0");
-        mc_assert(cfg.dram.ranksPerChannel == 1,
-                  "stacked backend models one rank per vault");
-        DramGeometry vaultGeom = cfg.dram;
-        vaultGeom.channels = 1;
-        vaultGeom.vaultsPerStack = 0; // One vault's worth of banks.
-        vaultGeom.validate();
-        const TickSpan migrationTicks = clk_.dramToTicks(
+        const TickSpan migrationTicks = cfg.clocks.dramToTicks(
             static_cast<std::uint64_t>(cfg.remap.migrationRows) *
             cfg.remap.migrationCyclesPerRow);
-        for (std::uint32_t s = 0; s < stacks_; ++s)
+        for (std::uint32_t s = 0; s < cfg.dram.channels; ++s)
             remappers_.emplace_back(vaults_, banks_, cfg.remap,
                                     migrationTicks);
-        for (std::uint32_t q = 0; q < stacks_ * vaults_; ++q) {
-            channels_.push_back(std::make_unique<Channel>(
-                vaultGeom, cfg.timings, cfg.refreshEnabled, cfg.clocks));
-            controllers_.push_back(std::make_unique<MemController>(
-                *channels_.back(),
-                makeScheduler(cfg.scheduler, numCores, cfg.schedulerParams,
-                              cfg.clocks, cfg.timings),
-                makePagePolicy(cfg.pagePolicy, cfg.clocks), numCores,
-                cfg.controller));
-        }
     }
 
     MemBackendKind
@@ -328,103 +328,48 @@ class StackedDramBackend final : public MemBackend
         return MemBackendKind::StackedDram;
     }
 
-    std::uint32_t
-    numQueues() const override
-    {
-        return static_cast<std::uint32_t>(controllers_.size());
-    }
-
-    MemController &queue(std::uint32_t i) override { return *controllers_[i]; }
-
     void
     route(Request &req, Tick now) override
     {
-        req.coord = mapper_.decode(req.addr);
+        DramBackend::route(req, now);
+        if (!remap_)
+            return;
         const std::uint32_t stack = req.coord.channel / vaults_;
-        std::uint32_t vault = req.coord.channel % vaults_;
-        std::uint32_t bank = req.coord.bank;
-        if (remapCfg_.enabled) {
-            VaultRemapper &rm = remappers_[stack];
-            const std::uint32_t logicalSlot = vault * banks_ + bank;
-            rm.recordAccess(logicalSlot, now);
-            const std::uint32_t phys = rm.physSlot(logicalSlot);
-            vault = phys / banks_;
-            bank = phys % banks_;
-            const Tick busy = rm.busyUntil(phys);
-            if (busy > req.availableAt)
-                req.availableAt = busy;
-        }
-        req.coord.channel = stack * vaults_ + vault;
-        req.coord.bank = bank;
-        req.coord.rank = 0;
-    }
-
-    std::uint64_t
-    capacityBytes() const override
-    {
-        return mapper_.geometry().capacityBytes();
+        const std::uint32_t logicalSlot =
+            (req.coord.channel % vaults_) * banks_ + req.coord.bank;
+        VaultRemapper &rm = remappers_[stack];
+        rm.recordAccess(logicalSlot, now);
+        const std::uint32_t phys = rm.physSlot(logicalSlot);
+        req.coord.channel = stack * vaults_ + phys / banks_;
+        req.coord.bank = phys % banks_;
+        req.availableAt = std::max(req.availableAt, rm.busyUntil(phys));
     }
 
     void
     resetStats(Tick now) override
     {
-        for (auto &mc : controllers_)
-            mc->resetStats(now);
+        DramBackend::resetStats(now);
         for (auto &rm : remappers_)
             rm.resetStats();
     }
 
-    double
-    busUtilization(Tick now) const override
-    {
-        if (channels_.empty())
-            return 0.0;
-        double sum = 0.0;
-        for (const auto &ch : channels_)
-            sum += ch->stats().busUtilization(now);
-        return sum / static_cast<double>(channels_.size());
-    }
-
+    /** The media fields, then the per-vault and remap ones; every
+     *  list is cleared and every sum zeroed first, so collect() stays
+     *  fill-not-accumulate (a duplicated vault entry would also skew
+     *  vaultQueueImbalance through the mean). */
     void
     collect(MetricSet &m, Tick now) const override
     {
-        m.bwUtilPct = 100.0 * busUtilization(now);
-
-        // One rank of banks_ banks per vault.
-        const DramEnergyModel energyModel(power_, timings_, 1, banks_,
-                                          clk_);
-        const double elapsedNs =
-            controllers_.empty()
-                ? 0.0
-                : clk_.ticksToNs(
-                      now -
-                      controllers_.front()->channel().stats().statsStartTick);
-        // collect() fills, it never accumulates: zero/clear every
-        // summed field up front so a second collect() into the same
-        // MetricSet reproduces identical values instead of doubling
-        // the energy, duplicating every vault's queue entry (which
-        // would also skew vaultQueueImbalance via the doubled mean),
-        // and double-counting the remap migrations.
-        m.dramEnergyNj = 0.0;
-        for (const auto &mc : controllers_) {
-            m.dramEnergyNj +=
-                energyModel.estimate(mc->channel().stats(), now).totalNj();
-        }
-        m.dramAvgPowerMw =
-            elapsedNs > 0.0 ? m.dramEnergyNj * 1e3 / elapsedNs : 0.0;
-
+        DramBackend::collect(m, now);
         m.perVaultReadQueue.clear();
         double sum = 0.0, peak = 0.0;
-        for (const auto &mc : controllers_) {
-            const double q = mc->stats().readQueueLen.mean(now);
-            m.perVaultReadQueue.push_back(q);
-            sum += q;
-            peak = std::max(peak, q);
+        for (std::uint32_t q = 0; q < numQueues(); ++q) {
+            const double len = queue(q).stats().readQueueLen.mean(now);
+            m.perVaultReadQueue.push_back(len);
+            sum += len;
+            peak = std::max(peak, len);
         }
-        const double mean =
-            controllers_.empty()
-                ? 0.0
-                : sum / static_cast<double>(controllers_.size());
+        const double mean = sum / static_cast<double>(numQueues());
         m.vaultQueueImbalance = mean > 0.0 ? peak / mean : 0.0;
         m.remapMigrations = 0;
         m.remapMigratedRows = 0;
@@ -435,40 +380,63 @@ class StackedDramBackend final : public MemBackend
     }
 
   private:
-    /** The mapper's view: one "channel" per vault, one rank each, so
-     *  the scheme's channel bits interleave blocks over every vault in
-     *  the system. Capacity is identical to the stacked geometry's. */
-    static DramGeometry
-    flattenedGeometry(const DramGeometry &g)
-    {
-        DramGeometry flat = g;
-        flat.channels = g.channels * g.vaultsPerStack;
-        flat.ranksPerChannel = 1;
-        flat.vaultsPerStack = 0;
-        flat.validate();
-        return flat;
-    }
-
-    DramPowerParams power_;
-    DramTimings timings_;
-    ClockDomains clk_;
-    std::uint32_t stacks_;
     std::uint32_t vaults_;
     std::uint32_t banks_;
-    RemapConfig remapCfg_;
-    AddressMapper mapper_;
+    bool remap_;
     std::vector<VaultRemapper> remappers_; ///< One per stack.
-    std::vector<std::unique_ptr<Channel>> channels_;
-    std::vector<std::unique_ptr<MemController>> controllers_;
 };
+
+/** The backend a configuration's device selects: flat or stacked. */
+std::unique_ptr<DramBackend>
+makeDramBackend(const SimConfig &cfg, std::uint32_t numCores)
+{
+    if (cfg.backend == MemBackendKind::StackedDram)
+        return std::make_unique<StackedDramBackend>(cfg, numCores);
+    return std::make_unique<DramBackend>(cfg, numCores, cfg.dram,
+                                         cfg.timings);
+}
+
+/** Slow-tier media timing: the device's, with the tier link latency
+ *  on the read return path (the tTSV hook; flat devices carry 0
+ *  there) and the column/burst cadence stretched to the throttled
+ *  service rate. */
+DramTimings
+slowTierTimings(const DramTimings &t, const TierConfig &tier)
+{
+    mc_assert(tier.slowBwPct >= 1 && tier.slowBwPct <= 100,
+              "tier_bw must be in [1, 100]");
+    DramTimings slow = t;
+    slow.tTSV += tier.slowLatencyDramCycles;
+    const auto scale = [&tier](std::uint32_t v) {
+        return static_cast<std::uint32_t>(
+            (static_cast<std::uint64_t>(v) * 100 + tier.slowBwPct - 1) /
+            tier.slowBwPct);
+    };
+    slow.tCCD = scale(t.tCCD);
+    slow.tCCDL = scale(t.tCCDL);
+    slow.tBURST = scale(t.tBURST);
+    return slow;
+}
+
+/** Slow-tier geometry: the device's channel shape with the vault
+ *  dimension flattened away; slow-resident addresses fold into it
+ *  modulo its capacity (an aliasing performance model). */
+DramGeometry
+slowTierGeometry(const DramGeometry &g)
+{
+    DramGeometry slow = g;
+    slow.vaultsPerStack = 0;
+    return slow;
+}
 
 /**
  * Two-tier memory: the SimConfig's base backend (flat or stacked) as
- * the fast tier, composed with a slow CXL/NVM-like tier built from
- * the same media model with extra return-path latency (charged via
- * the tTSV hook, exactly like a stacked part's vault-to-logic-layer
- * crossing) and a service-rate bandwidth throttle (the tCCD/tCCD_L/
- * tBURST timings stretch by 100/slowBwPct). The slow tier adds
+ * the fast tier, composed with a slow CXL/NVM-like tier that is the
+ * media class over slowTierGeometry() and slowTierTimings(): the same
+ * media model with extra return-path latency (charged via the tTSV
+ * hook, exactly like a stacked part's vault-to-logic-layer crossing)
+ * and a service-rate bandwidth throttle (the tCCD/tCCD_L/tBURST
+ * timings stretch by 100/slowBwPct). The slow tier adds
  * cfg.dram.channels queues after the fast tier's, so the event
  * kernel's routing and the parallel kernel's per-queue sharding
  * decompose over both tiers with no kernel changes.
@@ -497,26 +465,18 @@ class TieredMemBackend final : public MemBackend
 {
   public:
     TieredMemBackend(const SimConfig &cfg, std::uint32_t numCores)
-        : tier_(cfg.tier), clk_(cfg.clocks), power_(cfg.power),
-          slowTimings_(slowTierTimings(cfg.timings, cfg.tier)),
-          slowGeom_(slowTierGeometry(cfg.dram)),
-          slowMapper_(slowGeom_, cfg.mapping, cfg.bankGroupMapping),
-          inner_(cfg.backend == MemBackendKind::StackedDram
-                     ? std::unique_ptr<MemBackend>(
-                           std::make_unique<StackedDramBackend>(cfg,
-                                                                numCores))
-                     : std::make_unique<FlatDramBackend>(cfg, numCores)),
+        : tier_(cfg.tier), fast_(makeDramBackend(cfg, numCores)),
+          slow_(cfg, numCores, slowTierGeometry(cfg.dram),
+                slowTierTimings(cfg.timings, cfg.tier)),
           monitor_(0, 1, MonitorConfig{})
     {
         mc_assert(tier_.fastCapacityPct >= 1 &&
                       tier_.fastCapacityPct <= 100,
                   "tier_capacity_pct must be in [1, 100]");
-        mc_assert(tier_.slowBwPct >= 1 && tier_.slowBwPct <= 100,
-                  "tier_bw must be in [1, 100]");
-        innerQueues_ = inner_->numQueues();
-        fastBytes_ = inner_->capacityBytes();
+        fastQueues_ = fast_->numQueues();
+        fastBytes_ = fast_->capacityBytes();
+        slowBytes_ = slow_.capacityBytes();
         rowBytes_ = cfg.dram.rowBufferBytes;
-        slowSpan_ = slowGeom_.capacityBytes();
 
         // Tile sizing: start at one row and double until the whole
         // (fast + slow) space fits in the tile-map budget.
@@ -555,7 +515,7 @@ class TieredMemBackend final : public MemBackend
         mon.maxRegions = tier_.monitorMaxRegions;
         monitor_ = HotnessMonitor(capacityBytes(), tileBytes_, mon);
 
-        tileMigrationTicks_ = clk_.dramToTicks(
+        tileMigrationTicks_ = cfg.clocks.dramToTicks(
             2ull * tileRows_ * tier_.migrationCyclesPerRow);
         if (tier_.policy == TierPolicy::AlloyCache) {
             const std::uint64_t slots = std::min<std::uint64_t>(
@@ -565,24 +525,7 @@ class TieredMemBackend final : public MemBackend
                               ~std::uint64_t{0});
             alloyBusy_.assign(static_cast<std::size_t>(slots), Tick{});
             alloyFillTicks_ =
-                clk_.dramToTicks(tier_.migrationCyclesPerRow);
-        }
-
-        // The slow tier: one Channel + MemController per fast-tier
-        // stack/channel, built from the device's media model with the
-        // tier latency/bandwidth modifications.
-        DramGeometry chGeom = slowGeom_;
-        chGeom.channels = 1;
-        chGeom.validate();
-        for (std::uint32_t c = 0; c < slowGeom_.channels; ++c) {
-            channels_.push_back(std::make_unique<Channel>(
-                chGeom, slowTimings_, cfg.refreshEnabled, cfg.clocks));
-            controllers_.push_back(std::make_unique<MemController>(
-                *channels_.back(),
-                makeScheduler(cfg.scheduler, numCores, cfg.schedulerParams,
-                              cfg.clocks, cfg.timings),
-                makePagePolicy(cfg.pagePolicy, cfg.clocks), numCores,
-                cfg.controller));
+                cfg.clocks.dramToTicks(tier_.migrationCyclesPerRow);
         }
     }
 
@@ -591,15 +534,14 @@ class TieredMemBackend final : public MemBackend
     std::uint32_t
     numQueues() const override
     {
-        return innerQueues_ +
-               static_cast<std::uint32_t>(controllers_.size());
+        return fastQueues_ + slow_.numQueues();
     }
 
     MemController &
     queue(std::uint32_t i) override
     {
-        return i < innerQueues_ ? inner_->queue(i)
-                                : *controllers_[i - innerQueues_];
+        return i < fastQueues_ ? fast_->queue(i)
+                               : slow_.queue(i - fastQueues_);
     }
 
     void
@@ -639,13 +581,14 @@ class TieredMemBackend final : public MemBackend
             // slow-region address borrows the frame its fold lands in
             // (a performance model, not a functional allocator).
             req.addr = addr % fastBytes_;
-            inner_->route(req, now);
-            req.addr = addr;
+            fast_->route(req, now);
         } else {
             ++slowRouted_;
-            req.coord = slowMapper_.decode(addr % slowSpan_);
-            req.coord.channel += innerQueues_;
+            req.addr = addr % slowBytes_;
+            slow_.route(req, now);
+            req.coord.channel += fastQueues_;
         }
+        req.addr = addr;
         // A tile mid-migration gates its requests (either direction of
         // the swap) until the copy finishes.
         for (const TileGate &g : migrating_) {
@@ -665,9 +608,8 @@ class TieredMemBackend final : public MemBackend
     void
     resetStats(Tick now) override
     {
-        inner_->resetStats(now);
-        for (auto &mc : controllers_)
-            mc->resetStats(now);
+        fast_->resetStats(now);
+        slow_.resetStats(now);
         // Window counters reset; the learned state (tile map, monitor
         // regions, alloy tags) keeps learning across the boundary,
         // like the vault remapper's table.
@@ -677,55 +619,33 @@ class TieredMemBackend final : public MemBackend
         migratedRows_ = 0;
     }
 
-    double
-    busUtilization(Tick now) const override
-    {
-        double sum = inner_->busUtilization(now) *
-                     static_cast<double>(innerQueues_);
-        for (const auto &ch : channels_)
-            sum += ch->stats().busUtilization(now);
-        const std::size_t n = innerQueues_ + channels_.size();
-        return n ? sum / static_cast<double>(n) : 0.0;
-    }
-
     void
     collect(MetricSet &m, Tick now) const override
     {
         // Fast-tier fields first (bus util, energy, any stacked
-        // quantities); the inner collect() fills idempotently, so this
-        // whole method stays fill-not-accumulate too.
-        inner_->collect(m, now);
+        // quantities); the fast collect() fills idempotently, so this
+        // whole method stays fill-not-accumulate too. The slow tier
+        // then continues the media-wide sums channel by channel.
+        fast_->collect(m, now);
+        const double busSum = slow_.addBusUtilization(
+            fast_->busUtilization(now) * static_cast<double>(fastQueues_),
+            now);
+        m.bwUtilPct = 100.0 * (busSum / static_cast<double>(numQueues()));
+        m.dramEnergyNj = slow_.addEnergyNj(m.dramEnergyNj, now);
+        m.dramAvgPowerMw = slow_.powerMw(m.dramEnergyNj, now);
 
-        // Fold the slow tier into the media-wide quantities.
-        m.bwUtilPct = 100.0 * busUtilization(now);
-        const DramEnergyModel energyModel(power_, slowTimings_,
-                                          slowGeom_.ranksPerChannel,
-                                          slowGeom_.banksPerRank, clk_);
-        for (const auto &mc : controllers_) {
-            m.dramEnergyNj +=
-                energyModel.estimate(mc->channel().stats(), now).totalNj();
-        }
-        const double elapsedNs =
-            controllers_.empty()
-                ? 0.0
-                : clk_.ticksToNs(
-                      now -
-                      controllers_.front()->channel().stats().statsStartTick);
-        m.dramAvgPowerMw =
-            elapsedNs > 0.0 ? m.dramEnergyNj * 1e3 / elapsedNs : 0.0;
-
-        // Tier quantities (schema v7). Every ratio guards its empty
-        // set: a run with no routed accesses reports a 0 hit fraction,
-        // and a slow tier that served no reads reports a 0 p99 (the
-        // histogram percentile of an empty merge is 0 by contract).
+        // Tier quantities. Every ratio guards its empty set: a run
+        // with no routed accesses reports a 0 hit fraction, and a slow
+        // tier that served no reads reports a 0 p99 (the histogram
+        // percentile of an empty merge is 0 by contract).
         const std::uint64_t total = fastRouted_ + slowRouted_;
         m.fastTierHitPct =
             total ? 100.0 * static_cast<double>(fastRouted_) /
                         static_cast<double>(total)
                   : 0.0;
         LogHistogram slowHist{24};
-        for (const auto &mc : controllers_)
-            slowHist.merge(mc->stats().readLatencyHist);
+        for (std::uint32_t q = 0; q < slow_.numQueues(); ++q)
+            slowHist.merge(slow_.queue(q).stats().readLatencyHist);
         m.slowTierReadLatencyP99 = slowHist.percentile(0.99);
         m.tierMigrations = migrations_;
         m.tierMigratedRows = migratedRows_;
@@ -742,39 +662,6 @@ class TieredMemBackend final : public MemBackend
         std::uint32_t tile;
         Tick until;
     };
-
-    /** Slow-tier media timing: the device's, with the tier link
-     *  latency on the read return path (the tTSV hook; flat devices
-     *  carry 0 there) and the column/burst cadence stretched to the
-     *  throttled service rate. */
-    static DramTimings
-    slowTierTimings(const DramTimings &t, const TierConfig &tier)
-    {
-        DramTimings slow = t;
-        slow.tTSV += tier.slowLatencyDramCycles;
-        const auto scale = [&tier](std::uint32_t v) {
-            return static_cast<std::uint32_t>(
-                (static_cast<std::uint64_t>(v) * 100 + tier.slowBwPct -
-                 1) /
-                tier.slowBwPct);
-        };
-        slow.tCCD = scale(t.tCCD);
-        slow.tCCDL = scale(t.tCCDL);
-        slow.tBURST = scale(t.tBURST);
-        return slow;
-    }
-
-    /** Slow-tier geometry: the device's channel shape with the vault
-     *  dimension flattened away; slow-resident addresses fold into it
-     *  modulo its capacity (an aliasing performance model). */
-    static DramGeometry
-    slowTierGeometry(const DramGeometry &g)
-    {
-        DramGeometry slow = g;
-        slow.vaultsPerStack = 0;
-        slow.validate();
-        return slow;
-    }
 
     std::uint32_t
     tileOf(Addr addr) const
@@ -847,17 +734,13 @@ class TieredMemBackend final : public MemBackend
     }
 
     TierConfig tier_;
-    ClockDomains clk_;
-    DramPowerParams power_;
-    DramTimings slowTimings_;
-    DramGeometry slowGeom_;
-    AddressMapper slowMapper_;
-    std::unique_ptr<MemBackend> inner_; ///< The fast tier.
+    std::unique_ptr<DramBackend> fast_;
+    DramBackend slow_;
     HotnessMonitor monitor_;
 
-    std::uint32_t innerQueues_ = 0;
+    std::uint32_t fastQueues_ = 0;
     std::uint64_t fastBytes_ = 0;
-    std::uint64_t slowSpan_ = 0;
+    std::uint64_t slowBytes_ = 0;
     std::uint64_t rowBytes_ = 0;
     std::uint64_t tileBytes_ = 0;
     std::uint64_t tileRows_ = 0;
@@ -876,9 +759,6 @@ class TieredMemBackend final : public MemBackend
     std::uint64_t slowRouted_ = 0;
     std::uint64_t migrations_ = 0;
     std::uint64_t migratedRows_ = 0;
-
-    std::vector<std::unique_ptr<Channel>> channels_;
-    std::vector<std::unique_ptr<MemController>> controllers_;
 };
 
 } // namespace
@@ -888,9 +768,7 @@ makeMemBackend(const SimConfig &cfg, std::uint32_t numCores)
 {
     if (cfg.tier.enabled)
         return std::make_unique<TieredMemBackend>(cfg, numCores);
-    if (cfg.backend == MemBackendKind::StackedDram)
-        return std::make_unique<StackedDramBackend>(cfg, numCores);
-    return std::make_unique<FlatDramBackend>(cfg, numCores);
+    return makeDramBackend(cfg, numCores);
 }
 
 } // namespace mcsim

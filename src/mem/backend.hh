@@ -19,16 +19,28 @@
  *    shard / serial thread in an order identical across the reference,
  *    event, and parallel kernels, which is what keeps dynamic
  *    remapping bit-identical under every kernel.
- *  - resetStats()/collect()/busUtilization(): the statistics window
- *    contract behind MetricSet, including the energy model.
+ *  - resetStats()/collect(): the statistics window contract behind
+ *    MetricSet, including bus utilization and the energy model.
  *
- * Implementations: FlatDramBackend (the paper's JEDEC DRAM system,
- * one controller per channel), StackedDramBackend (HMC-style stacks
- * with per-vault controllers, TSV return-path timing, and an optional
- * counters-driven hot-bank remapping layer with a migration cost
- * model), and TieredMemBackend (either of the above as the fast tier
- * composed with a slow CXL/NVM-like tier, fronted by a DAMON-style
- * HotnessMonitor and pluggable placement/migration policies).
+ * One media class in backend.cc builds every Channel and MemController:
+ * a DramSystem over a given geometry and media timings, one controller
+ * per channel, the AddressMapper over the same geometry, and the bus
+ * utilization, energy and power sums, taken channel by channel in
+ * queue order. Run over the device geometry it is the paper's flat
+ * JEDEC backend. Two layers sit on top of it:
+ *
+ *  - StackedDramBackend (HMC-style stacks) is the media class over
+ *    one single-rank channel per vault (DramGeometry::
+ *    vaultsAsChannels()), with the TSV return-path timing and an
+ *    optional per-stack hot-bank remapper in route() that charges
+ *    its migration cost via Request::availableAt. It adds the
+ *    per-vault queue and remap fields to collect().
+ *  - TieredMemBackend holds a fast tier (flat or stacked) and a slow
+ *    CXL/NVM-like tier, the media class over the device's channels
+ *    with stretched timings, behind a DAMON-style HotnessMonitor and
+ *    pluggable placement/migration policies. It builds no media of
+ *    its own; its slow queues follow the fast tier's, and its
+ *    collect() continues the fast tier's sums over the slow channels.
  */
 
 #ifndef CLOUDMC_MEM_BACKEND_HH
@@ -160,9 +172,6 @@ class MemBackend
 
     /** Open a new statistics window on queues and media. */
     virtual void resetStats(Tick now) = 0;
-
-    /** Mean data-bus utilization across the media, in [0,1]. */
-    virtual double busUtilization(Tick now) const = 0;
 
     /** Fill the backend-owned MetricSet fields (bus utilization,
      *  energy, per-vault occupancy, remap and tier counters). collect()

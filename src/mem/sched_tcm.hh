@@ -23,8 +23,10 @@
  * Priority order: starved requests, then cluster, then intra-cluster
  * rank, then row hits, then age. The original further weights the
  * shuffle by "niceness" (bank-level parallelism vs row locality);
- * that refinement is second-order for the studied workloads and is
- * documented as a simplification in DESIGN.md.
+ * that refinement is left out as second-order here: the paper's
+ * workloads run one program on every core, so the cores the shuffle
+ * reorders are statistically alike and niceness would barely change
+ * their order.
  */
 
 #ifndef CLOUDMC_MEM_SCHED_TCM_HH

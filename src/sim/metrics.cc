@@ -47,6 +47,22 @@ metricFields()
     return fields;
 }
 
+const char *
+firstDifferentMetric(const MetricSet &a, const MetricSet &b)
+{
+    for (const MetricField &f : metricFields()) {
+        const bool same = std::visit(
+            [&](auto member) { return a.*member == b.*member; }, f.member);
+        if (!same)
+            return f.name;
+    }
+    if (a.perCoreCommitted != b.perCoreCommitted)
+        return "per_core_committed";
+    if (a.perCoreCycles != b.perCoreCycles)
+        return "per_core_cycles";
+    return nullptr;
+}
+
 bool
 deriveFairnessMetrics(MetricSet &shared,
                       const std::vector<AloneBaselineMetrics> &baselines)

@@ -152,6 +152,15 @@ struct MetricField
 const std::vector<MetricField> &metricFields();
 
 /**
+ * The exact identity check: the name of the first field in which @p a
+ * and @p b differ, walking every metricFields() entry (lists element
+ * by element) and then perCoreCommitted and perCoreCycles, or nullptr
+ * when they hold the same values. Doubles compare with ==, so +0
+ * matches -0 and a NaN matches nothing.
+ */
+const char *firstDifferentMetric(const MetricSet &a, const MetricSet &b);
+
+/**
  * One alone-run baseline covering a contiguous core range of a shared
  * run: cores [firstCore, firstCore + numCores) of the shared run are
  * measured against @p alone. The baseline run must expose either

@@ -50,11 +50,14 @@ struct SimConfig
     /** Dynamic vault/bank remapping knobs (stacked backend only; the
      *  spec loader rejects remap keys on a flat backend). */
     RemapConfig remap;
-    /** Tiered-memory knobs. When tier.enabled, `backend` names the
-     *  fast tier and makeMemBackend() wraps it in a TieredMemBackend
-     *  (slow CXL/NVM-like tier + DAMON-style monitor + placement
-     *  policy). The spec loader rejects tier- and monitor-only keys
-     *  unless `tier on` is set. */
+    /** Tiered-memory knobs. When tier.enabled, makeMemBackend()
+     *  builds a TieredMemBackend: `backend` names its fast tier (flat
+     *  or stacked), and its slow CXL/NVM-like tier is a second
+     *  instance of the same media class over the device's channels
+     *  with stretched timings (slowLatencyDramCycles, slowBwPct),
+     *  behind a DAMON-style monitor and a placement policy. The spec
+     *  loader rejects tier- and monitor-only keys unless `tier on` is
+     *  set. */
     TierConfig tier;
 
     MappingScheme mapping = MappingScheme::RoRaBaCoCh;

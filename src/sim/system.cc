@@ -15,12 +15,23 @@ constexpr std::uint32_t kBlockBytes = 64;
 constexpr Addr kIoBufferBase = 7ull << 30;          // 7 GiB
 constexpr std::uint64_t kIoBufferBytes = 512 << 20; // 512 MiB
 
+/** @p preset with @p seed mixed into its stream seed; seed 1 (the
+ *  default) leaves it as it is. */
+WorkloadParams
+seededPreset(const WorkloadParams &preset, std::uint64_t seed)
+{
+    WorkloadParams w = preset;
+    w.seed ^= (seed - 1) * 0x9e3779b97f4a7c15ull;
+    return w;
+}
+
 } // namespace
 
-System::System(const SimConfig &cfg, const WorkloadParams &workload)
+System::System(const SimConfig &cfg, const WorkloadParams &preset)
     : cfg_(cfg), toMem_(cfg.clocks.coreToTicks(cfg.xbarLatencyCycles)),
       toCpu_(cfg.clocks.coreToTicks(cfg.xbarLatencyCycles))
 {
+    const WorkloadParams workload = seededPreset(preset, cfg.seed);
     cfg_.numCores = workload.cores;
     cfg_.core.mlpWindow = cfg_.coreMlpOverride ? cfg_.coreMlpOverride
                                                : workload.mlpWindow;

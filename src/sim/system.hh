@@ -72,7 +72,9 @@ struct KernelStats
 class System
 {
   public:
-    /** Build a system running the given synthetic workload preset. */
+    /** Build a system running the given synthetic workload preset.
+     *  cfg.seed is mixed into the preset's seed (the generator and the
+     *  IO engine streams); the default seed 1 keeps the preset's own. */
     System(const SimConfig &cfg, const WorkloadParams &workload);
 
     /**

@@ -6,7 +6,10 @@
  *
  * Each preset's region mixture is calibrated so the baseline system
  * (FR-FCFS, open-adaptive, 1 channel) reproduces the workload's
- * published characteristics; see DESIGN.md section 6 for targets and
+ * published characteristics: the row-buffer hit rate, L2 MPKI,
+ * single-access activation fraction and bandwidth utilization read
+ * off the paper's Figures 2, 4, 7 and 8, which
+ * examples/characterize.cpp prints next to the measured values; see
  * EXPERIMENTS.md for measured values.
  */
 

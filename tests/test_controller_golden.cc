@@ -9,8 +9,11 @@
  *  - every scheduler x every page policy on DDR3-1600;
  *  - every scheduler on DDR5-4800 (8 bank groups), on LPDDR3-1600
  *    (per-bank refresh), on HMC2-8GB with dynamic remapping (requests
- *    gated by Request::availableAt), and on the tiered backend
- *    (hotness-based migrations, also availableAt-gated).
+ *    gated by Request::availableAt) over one and over two stacks, and
+ *    on the tiered backend (hotness-based migrations, also
+ *    availableAt-gated) over one and two DDR3 channels and over an
+ *    HMC2 fast tier, so the order in which the backends sum energy
+ *    and bus utilization over several slow channels is pinned too.
  *
  * The kernel fuzzer only checks the kernels against each other; these
  * values pin the controller against its own past, so any change to
@@ -330,4 +333,76 @@ TEST(ControllerGolden, TieredHotnessMigration)
         0x1f71c98cbebc73bfull, // STFM / OpenAdaptive
     });
     EXPECT_GT(m.tierMigrations, 0u);
+}
+
+TEST(ControllerGolden, Hmc2TwoStacksWithRemapping)
+{
+    // Two stacks of 8 vaults: the remapper is per stack, so routing
+    // must keep every swap inside its own stack.
+    SimConfig cfg = shortWindow("HMC2-8GB");
+    cfg.dram.channels = 2;
+    cfg.setVaults(8);
+    cfg.remap.enabled = true;
+    cfg.remap.windowAccesses = 256;
+    cfg.remap.hotFactor = 1.0;
+    const MetricSet m = checkGrid(cfg, kBaselinePolicy, {
+        0x2beea9fd264ea45dull, // FR-FCFS / OpenAdaptive
+        0xfa878a0334ef3974ull, // FCFS_banks / OpenAdaptive
+        0x8e1e7416c8ad549aull, // PAR-BS / OpenAdaptive
+        0x2beea9fd264ea45dull, // ATLAS / OpenAdaptive
+        0x09fcfc6a32508d0cull, // RL / OpenAdaptive
+        0x79219fca03f0208bull, // FCFS / OpenAdaptive
+        0xeff0359e41912248ull, // FQM / OpenAdaptive
+        0x2beea9fd264ea45dull, // TCM / OpenAdaptive
+        0xf913a78bac060afaull, // STFM / OpenAdaptive
+    });
+    EXPECT_GT(m.remapMigrations, 0u);
+    EXPECT_EQ(m.perVaultReadQueue.size(), 16u);
+}
+
+TEST(ControllerGolden, TieredTwoChannels)
+{
+    // Two fast and two slow channels: the slow channels' energy and
+    // bus utilization are summed one channel at a time.
+    SimConfig cfg = shortWindow("DDR3-1600");
+    cfg.dram.channels = 2;
+    cfg.tier.enabled = true;
+    cfg.tier.policy = TierPolicy::HotnessBased;
+    cfg.tier.monitorSampleEvery = 2;
+    cfg.tier.monitorWindowSamples = 64;
+    const MetricSet m = checkGrid(cfg, kBaselinePolicy, {
+        0xed6e35598dc6977cull, // FR-FCFS / OpenAdaptive
+        0x1e07340faabcd83dull, // FCFS_banks / OpenAdaptive
+        0x6edbe2e2f9136a1full, // PAR-BS / OpenAdaptive
+        0xed6e35598dc6977cull, // ATLAS / OpenAdaptive
+        0xcf2a88ee6f58014bull, // RL / OpenAdaptive
+        0xbd18264a372f6250ull, // FCFS / OpenAdaptive
+        0xa812b83650775316ull, // FQM / OpenAdaptive
+        0xed6e35598dc6977cull, // TCM / OpenAdaptive
+        0x9c6ba482d4c3620bull, // STFM / OpenAdaptive
+    });
+    EXPECT_GT(m.tierMigrations, 0u);
+}
+
+TEST(ControllerGolden, TieredOverHmc2)
+{
+    // A stacked fast tier (its per-vault fields survive the tiered
+    // collect) in front of a flat slow tier; the alloy-cache policy
+    // fills on every miss, so availableAt gates inside the short run.
+    SimConfig cfg = shortWindow("HMC2-8GB");
+    cfg.tier.enabled = true;
+    cfg.tier.policy = TierPolicy::AlloyCache;
+    const MetricSet m = checkGrid(cfg, kBaselinePolicy, {
+        0xa46be885d73ed9b5ull, // FR-FCFS / OpenAdaptive
+        0x1282e632b1f004f5ull, // FCFS_banks / OpenAdaptive
+        0x45c7f5704dad7e7eull, // PAR-BS / OpenAdaptive
+        0xa46be885d73ed9b5ull, // ATLAS / OpenAdaptive
+        0xab769702eb86d277ull, // RL / OpenAdaptive
+        0x360b4617f4a271f9ull, // FCFS / OpenAdaptive
+        0xb68ce6e68c3839ceull, // FQM / OpenAdaptive
+        0xa46be885d73ed9b5ull, // TCM / OpenAdaptive
+        0x03838a585f4d2e4full, // STFM / OpenAdaptive
+    });
+    EXPECT_GT(m.tierMigrations, 0u);
+    EXPECT_FALSE(m.perVaultReadQueue.empty());
 }

@@ -8,8 +8,11 @@
 
 #include <cstdio>
 #include <string>
+#include <type_traits>
+#include <variant>
 
 #include "sim/experiment.hh"
+#include "sim/metrics.hh"
 #include "sim/system.hh"
 #include "workload/presets.hh"
 
@@ -59,6 +62,53 @@ TEST(System, DeterministicAcrossRuns)
     EXPECT_EQ(ma.memReads, mb.memReads);
     EXPECT_DOUBLE_EQ(ma.userIpc, mb.userIpc);
     EXPECT_DOUBLE_EQ(ma.rowHitRatePct, mb.rowHitRatePct);
+}
+
+TEST(System, SeedKnobReachesPresetWorkload)
+{
+    const WorkloadParams ws = workloadPreset(WorkloadId::WS);
+    SimConfig cfg = quickConfig();
+    const MetricSet one = System(cfg, ws).run();
+    cfg.seed = 7;
+    const MetricSet seven = System(cfg, ws).run();
+    EXPECT_NE(firstDifferentMetric(one, seven), nullptr);
+    EXPECT_NE(one.memReads, seven.memReads);
+}
+
+TEST(MetricSetIdentity, EverySingleFieldChangeIsReported)
+{
+    MetricSet base;
+    base.perCoreIpc = {0.5, 0.25};
+    base.perCoreCommitted = {10, 20};
+    base.perCoreCycles = {100, 100};
+    EXPECT_EQ(firstDifferentMetric(base, base), nullptr);
+    for (const MetricField &f : metricFields()) {
+        MetricSet changed = base;
+        std::visit(
+            [&](auto member) {
+                auto &v = changed.*member;
+                if constexpr (std::is_same_v<std::decay_t<decltype(v)>,
+                                             std::vector<double>>) {
+                    if (v.empty())
+                        v.push_back(1.0);
+                    else
+                        v.back() += 1.0;
+                } else {
+                    v += 1;
+                }
+            },
+            f.member);
+        const char *diff = firstDifferentMetric(base, changed);
+        ASSERT_NE(diff, nullptr) << f.name;
+        EXPECT_STREQ(diff, f.name);
+        EXPECT_STREQ(firstDifferentMetric(changed, base), f.name);
+    }
+    MetricSet changed = base;
+    changed.perCoreCommitted.back() += 1;
+    EXPECT_STREQ(firstDifferentMetric(base, changed), "per_core_committed");
+    changed = base;
+    changed.perCoreCycles.front() += 1;
+    EXPECT_STREQ(firstDifferentMetric(base, changed), "per_core_cycles");
 }
 
 TEST(System, WebFrontendRunsEightCores)
