@@ -56,23 +56,19 @@ runBankGroupStudy(ExperimentRunner &runner)
 int
 main(int argc, char **argv)
 {
-    int rc = figureMain(
+    figureMain(
         argc, argv,
         "Bank-group ablation (a): user IPC by group-bit placement, "
         "normalized to DDR4-2400 group-interleaved",
         "user IPC", runBankGroupStudy,
         [](const MetricSet &m) { return m.userIpc; },
         /*normalizeToFirst=*/true);
-    if (rc != 0)
-        return rc;
-    rc = figureMain(
+    figureMain(
         argc, argv,
         "Bank-group ablation (b): mean read latency (core cycles)",
         "read latency", runBankGroupStudy,
         [](const MetricSet &m) { return m.avgReadLatency; },
         /*normalizeToFirst=*/false, /*precision=*/1);
-    if (rc != 0)
-        return rc;
     return figureMain(
         argc, argv,
         "Bank-group ablation (c): same-bank-group CAS fraction (%), "

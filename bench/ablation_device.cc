@@ -49,23 +49,19 @@ runDeviceStudy(ExperimentRunner &runner)
 int
 main(int argc, char **argv)
 {
-    int rc = figureMain(
+    figureMain(
         argc, argv,
         "Device ablation (a): user IPC by DRAM device, normalized to "
         "DDR3-1600",
         "user IPC", runDeviceStudy,
         [](const MetricSet &m) { return m.userIpc; },
         /*normalizeToFirst=*/true);
-    if (rc != 0)
-        return rc;
-    rc = figureMain(
+    figureMain(
         argc, argv,
         "Device ablation (b): mean read latency (core cycles)",
         "read latency", runDeviceStudy,
         [](const MetricSet &m) { return m.avgReadLatency; },
         /*normalizeToFirst=*/false, /*precision=*/1);
-    if (rc != 0)
-        return rc;
     return figureMain(
         argc, argv,
         "Device ablation (c): DRAM average power (mW)",

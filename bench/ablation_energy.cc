@@ -53,14 +53,12 @@ int
 main(int argc, char **argv)
 {
     const auto energy = [](const MetricSet &m) { return m.dramEnergyNj; };
-    const int rc = figureMain(
+    figureMain(
         argc, argv,
         "Energy ablation (a): DRAM energy by scheduler, normalized to "
         "FR-FCFS",
         "DRAM energy", runSchedulerEnergy, energy,
         /*normalizeToFirst=*/true);
-    if (rc != 0)
-        return rc;
     return figureMain(
         argc, argv,
         "Energy ablation (b): DRAM energy by page policy, normalized "

@@ -20,17 +20,17 @@
  *
  * Usage: ablation_fairness [--workload ACR] [--measure N] [--threads N]
  *                          [--csv]
- *        (defaults: WS, 4M measured core cycles, shared default cache)
+ *        (defaults: WS, 4M measured core cycles, shared default cache;
+ *        N >= 1, and a bad flag or value exits 2 before simulating)
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/table.hh"
 #include "sim/experiment.hh"
+#include "sim/options.hh"
 #include "workload/mixed.hh"
 
 using namespace mcsim;
@@ -77,48 +77,33 @@ int
 main(int argc, char **argv)
 {
     std::uint64_t measure = 4'000'000;
-    std::string workload = "WS";
-    bool csv = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--measure") == 0 && i + 1 < argc)
-            measure = std::strtoull(argv[++i], nullptr, 10);
-        else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-            setenv("CLOUDMC_THREADS", argv[++i], 1);
-        else if (std::strcmp(argv[i], "--workload") == 0 && i + 1 < argc)
-            workload = argv[++i];
-        else if (std::strcmp(argv[i], "--csv") == 0)
-            csv = true;
-    }
     WorkloadId preset = WorkloadId::WS;
-    for (auto wl : kAllWorkloads) {
-        if (workload == workloadAcronym(wl))
-            preset = wl;
-    }
+    bool csv = false;
+    FlagSet()
+        .flag("--workload ACR", preset)
+        .flag("--measure N", measure, 1)
+        .threads()
+        .flag("--csv", csv)
+        .parse(argc, argv);
     const std::vector<MixPart> mix = {{WorkloadId::WS, 8},
                                       {WorkloadId::TPCHQ6, 8}};
     const std::string mixLabel = "mix WS:8 + TPCH-Q6:8";
 
     // One batch: (preset + mix) x schedulers, each point carrying its
     // alone-run baseline(s); all memoized in the shared results cache.
+    const std::size_t n = kSchedulers.size();
+    std::vector<ExperimentRunner::Point> points(2 * n);
+    for (std::size_t i = 0; i < n; ++i) {
+        SimConfig cfg = SimConfig::baseline();
+        cfg.scheduler = kSchedulers[i];
+        cfg.warmupCoreCycles = 1'000'000;
+        cfg.measureCoreCycles = measure;
+        points[i] = ExperimentRunner::Point(preset, cfg);
+        ExperimentRunner::attachAloneBaseline(points[i]);
+        points[n + i] =
+            ExperimentRunner::mixedFairnessPoint(mix, cfg, 16ull << 30);
+    }
     ExperimentRunner runner;
-    std::vector<ExperimentRunner::Point> points;
-    for (auto sched : kSchedulers) {
-        SimConfig cfg = SimConfig::baseline();
-        cfg.scheduler = sched;
-        cfg.warmupCoreCycles = 1'000'000;
-        cfg.measureCoreCycles = measure;
-        ExperimentRunner::Point p(preset, cfg);
-        ExperimentRunner::attachAloneBaseline(p);
-        points.push_back(std::move(p));
-    }
-    for (auto sched : kSchedulers) {
-        SimConfig cfg = SimConfig::baseline();
-        cfg.scheduler = sched;
-        cfg.warmupCoreCycles = 1'000'000;
-        cfg.measureCoreCycles = measure;
-        points.push_back(
-            ExperimentRunner::mixedFairnessPoint(mix, cfg, 16ull << 30));
-    }
     const auto metrics = runner.runAll(points);
 
     if (csv) {

@@ -42,15 +42,13 @@ runPermutationStudy(ExperimentRunner &runner)
 int
 main(int argc, char **argv)
 {
-    const int rc = figureMain(
+    figureMain(
         argc, argv,
         "Permutation mapping ablation (a): user IPC normalized to the "
         "1-channel baseline",
         "user IPC", runPermutationStudy,
         [](const MetricSet &m) { return m.userIpc; },
         /*normalizeToFirst=*/true);
-    if (rc != 0)
-        return rc;
     return figureMain(
         argc, argv,
         "Permutation mapping ablation (b): row-buffer hit rate (%)",

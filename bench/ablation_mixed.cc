@@ -18,16 +18,16 @@
  *
  * Usage: ablation_mixed [--measure M] (measured core cycles, default 4M)
  *                       [--threads N]
+ *        (M, N >= 1; a bad flag or value exits 2 before simulating)
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <numeric>
 #include <vector>
 
 #include "common/table.hh"
 #include "sim/experiment.hh"
+#include "sim/options.hh"
 #include "workload/mixed.hh"
 
 using namespace mcsim;
@@ -65,12 +65,7 @@ int
 main(int argc, char **argv)
 {
     std::uint64_t measure = 4'000'000;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--measure") == 0 && i + 1 < argc)
-            measure = std::strtoull(argv[++i], nullptr, 10);
-        else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-            setenv("CLOUDMC_THREADS", argv[++i], 1);
-    }
+    FlagSet().flag("--measure M", measure, 1).threads().parse(argc, argv);
 
     const std::vector<MixCase> mixes = {
         {"WS:8 + TPCH-Q6:8",

@@ -34,31 +34,32 @@ constexpr std::array<std::uint32_t, 3> kMlpWindows = {1, 4, 8};
 int
 main(int argc, char **argv)
 {
-    bench::parseBenchFlags(argc, argv, false);
-    ExperimentRunner runner;
+    FlagSet().fast().threads().parse(argc, argv);
 
-    // Simulate every point of both parts in one parallel batch; the
-    // reporting loops below then resolve from the memo cache.
-    {
-        std::vector<SimConfig> sweep;
-        for (auto mlp : kMlpWindows) {
-            SimConfig one = SimConfig::baseline();
-            one.coreMlpOverride = mlp;
-            sweep.push_back(one);
-            SimConfig four = one;
-            four.dram.channels = 4;
-            four.mapping = MappingScheme::RoChRaBaCo;
-            sweep.push_back(four);
-            SimConfig fb = one;
-            fb.scheduler = SchedulerKind::FcfsBanks;
-            sweep.push_back(fb);
-            SimConfig pb = one;
-            pb.scheduler = SchedulerKind::ParBs;
-            sweep.push_back(pb);
-        }
-        bench::prefetchSweep(runner, sweep,
-                             {kScaleOut.begin(), kScaleOut.end()});
+    // Every point of both parts is one batch: per MLP window, the
+    // 1-channel FR-FCFS baseline, 4 channels, FCFS_banks and PAR-BS.
+    std::vector<bench::LabeledConfig> configs;
+    for (auto mlp : kMlpWindows) {
+        SimConfig one = SimConfig::baseline();
+        one.coreMlpOverride = mlp;
+        SimConfig four = one;
+        four.dram.channels = 4;
+        four.mapping = MappingScheme::RoChRaBaCo;
+        SimConfig fb = one;
+        fb.scheduler = SchedulerKind::FcfsBanks;
+        SimConfig pb = one;
+        pb.scheduler = SchedulerKind::ParBs;
+        for (const SimConfig &cfg : {one, four, fb, pb})
+            configs.push_back({"", cfg});
     }
+    ExperimentRunner runner;
+    const auto series = bench::runConfigStudy(
+        runner, configs, {kScaleOut.begin(), kScaleOut.end()});
+    // Variant v (0 = one, 1 = four, 2 = fb, 3 = pb) at MLP window k.
+    const auto at = [&](std::size_t k, std::size_t v,
+                        WorkloadId wl) -> const MetricSet & {
+        return series[4 * k + v].results.at(wl);
+    };
 
     // (a) Channel-count benefit as MLP grows.
     {
@@ -66,15 +67,11 @@ main(int argc, char **argv)
         table.setHeader({"workload", "MLP", "1ch IPC", "4ch IPC",
                          "4ch/1ch", "1ch BW%"});
         for (auto wl : kScaleOut) {
-            for (auto mlp : kMlpWindows) {
-                SimConfig one = SimConfig::baseline();
-                one.coreMlpOverride = mlp;
-                SimConfig four = one;
-                four.dram.channels = 4;
-                four.mapping = MappingScheme::RoChRaBaCo;
-                const MetricSet m1 = runner.run(wl, one);
-                const MetricSet m4 = runner.run(wl, four);
-                table.addRow({workloadAcronym(wl), std::to_string(mlp),
+            for (std::size_t k = 0; k < kMlpWindows.size(); ++k) {
+                const MetricSet &m1 = at(k, 0, wl);
+                const MetricSet &m4 = at(k, 1, wl);
+                table.addRow({workloadAcronym(wl),
+                              std::to_string(kMlpWindows[k]),
                               TextTable::num(m1.userIpc, 3),
                               TextTable::num(m4.userIpc, 3),
                               TextTable::num(m4.userIpc / m1.userIpc, 3),
@@ -92,20 +89,12 @@ main(int argc, char **argv)
         table.setHeader(
             {"workload", "MLP", "FCFS_banks/FR-FCFS", "PAR-BS/FR-FCFS"});
         for (auto wl : kScaleOut) {
-            for (auto mlp : kMlpWindows) {
-                SimConfig fr = SimConfig::baseline();
-                fr.coreMlpOverride = mlp;
-                SimConfig fb = fr;
-                fb.scheduler = SchedulerKind::FcfsBanks;
-                SimConfig pb = fr;
-                pb.scheduler = SchedulerKind::ParBs;
-                const double ipcFr = runner.run(wl, fr).userIpc;
+            for (std::size_t k = 0; k < kMlpWindows.size(); ++k) {
+                const double ipcFr = at(k, 0, wl).userIpc;
                 table.addRow(
-                    {workloadAcronym(wl), std::to_string(mlp),
-                     TextTable::num(runner.run(wl, fb).userIpc / ipcFr,
-                                    3),
-                     TextTable::num(runner.run(wl, pb).userIpc / ipcFr,
-                                    3)});
+                    {workloadAcronym(wl), std::to_string(kMlpWindows[k]),
+                     TextTable::num(at(k, 2, wl).userIpc / ipcFr, 3),
+                     TextTable::num(at(k, 3, wl).userIpc / ipcFr, 3)});
             }
         }
         std::printf("OoO ablation (b): scheduler gaps vs MLP window\n%s\n",

@@ -20,26 +20,27 @@
  * Usage: ablation_remap [--cycles N] [--threads N] [--theta T]
  *                       [--json PATH] [--csv]
  *        (defaults: 1M measured core cycles, 1 kernel thread,
- *        theta 0.99, BENCH_remap.json)
+ *        theta 0.99, BENCH_remap.json; --threads counts kernel
+ *        threads in [1, 1024], T is in [0, 1), and a bad flag or
+ *        value exits 2 before simulating)
  *
- * Honors CLOUDMC_FAST=<divisor> like the experiment runner (the CI
+ * Divides the cycles by the runner's CLOUDMC_FAST divisor
+ * (ExperimentRunner::fastDivisor, at least 10k cycles are kept; the CI
  * smoke runs with CLOUDMC_FAST=50). The improvement gate (exit 2 when
  * remap-on p99 fails to beat remap-off) arms only on full-length runs:
  * a /50 smoke closes too few remap windows for the gate to be
  * meaningful there.
  *
- * Entries are stamped with the git SHA (same resolution chain as
- * kernel_smoke: CLOUDMC_GIT_SHA, GITHUB_SHA, live `git rev-parse`,
- * the configure-time SHA, "unknown").
+ * Entries are stamped with bench::gitSha() (CLOUDMC_GIT_SHA,
+ * GITHUB_SHA, live `git rev-parse`, the configure-time SHA,
+ * "unknown").
  */
 
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_common.hh"
 #include "common/random.hh"
 #include "dram/devices.hh"
 #include "mem/address_mapping.hh"
@@ -138,35 +139,6 @@ class ZipfVaultTraffic final : public WorkloadGenerator
     std::vector<CoreState> cores_;
 };
 
-/** Same resolution chain as kernel_smoke. */
-std::string
-gitSha()
-{
-    if (const char *sha = std::getenv("CLOUDMC_GIT_SHA"))
-        return sha;
-    if (const char *sha = std::getenv("GITHUB_SHA"))
-        return sha;
-    if (std::FILE *p = popen("git rev-parse HEAD 2>/dev/null", "r")) {
-        char buf[64] = {};
-        const bool got = std::fgets(buf, sizeof(buf), p) != nullptr;
-        const bool clean = pclose(p) == 0;
-        if (got && clean) {
-            std::string sha(buf);
-            while (!sha.empty() &&
-                   std::isspace(static_cast<unsigned char>(sha.back()))) {
-                sha.pop_back();
-            }
-            if (sha.size() == 40)
-                return sha;
-        }
-    }
-#ifdef CLOUDMC_GIT_SHA_CONFIGURED
-    if (CLOUDMC_GIT_SHA_CONFIGURED[0] != '\0')
-        return CLOUDMC_GIT_SHA_CONFIGURED;
-#endif
-    return "unknown";
-}
-
 MetricSet
 runOnce(const SimConfig &cfg, double theta, double memProb)
 {
@@ -185,25 +157,15 @@ main(int argc, char **argv)
     double theta = 0.99;
     std::string jsonPath = "BENCH_remap.json";
     bool csv = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--cycles") == 0 && i + 1 < argc)
-            cycles = std::strtoull(argv[++i], nullptr, 10);
-        else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-            kernelThreads = static_cast<std::uint32_t>(
-                std::strtoul(argv[++i], nullptr, 10));
-        else if (std::strcmp(argv[i], "--theta") == 0 && i + 1 < argc)
-            theta = std::strtod(argv[++i], nullptr);
-        else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            jsonPath = argv[++i];
-        else if (std::strcmp(argv[i], "--csv") == 0)
-            csv = true;
-    }
-    std::uint64_t fastDiv = 1;
-    if (const char *env = std::getenv("CLOUDMC_FAST")) {
-        const auto v = std::strtoull(env, nullptr, 10);
-        if (v >= 1)
-            fastDiv = v;
-    }
+    FlagSet()
+        .flag("--cycles N", cycles, 1)
+        .flag("--threads N", kernelThreads, 1,
+              ExperimentRunner::kMaxThreads)
+        .flag("--theta T", theta, 0.0, 1.0)
+        .flag("--json PATH", jsonPath)
+        .flag("--csv", csv)
+        .parse(argc, argv);
+    const std::uint64_t fastDiv = ExperimentRunner::fastDivisor();
     cycles = std::max<std::uint64_t>(cycles / fastDiv, 10'000);
 
     SimConfig cfg = SimConfig::baseline();
@@ -314,7 +276,7 @@ main(int argc, char **argv)
         "  },\n"
         "  \"p99_improvement_pct\": %.2f\n"
         "}\n",
-        gitSha().c_str(), vaults, theta,
+        bench::gitSha().c_str(), vaults, theta,
         static_cast<unsigned long long>(cycles), kernelThreads,
         static_cast<unsigned long long>(cfg.remap.windowAccesses),
         moff.userIpc, moff.avgReadLatency, moff.readLatencyP99,

@@ -39,13 +39,11 @@ runTcmStudy(ExperimentRunner &runner)
 int
 main(int argc, char **argv)
 {
-    const int rc = figureMain(
+    figureMain(
         argc, argv, "TCM ablation (a): user IPC normalized to FR-FCFS",
         "user IPC", runTcmStudy,
         [](const MetricSet &m) { return m.userIpc; },
         /*normalizeToFirst=*/true);
-    if (rc != 0)
-        return rc;
     return figureMain(
         argc, argv,
         "TCM ablation (b): per-core IPC fairness (min/max, 1.0 = "

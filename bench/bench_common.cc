@@ -1,10 +1,9 @@
 #include "bench_common.hh"
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-
-#include "sim/knobs.hh"
 
 namespace mcsim::bench {
 
@@ -35,25 +34,6 @@ runConfigStudy(ExperimentRunner &runner,
     return out;
 }
 
-void
-prefetchSweep(ExperimentRunner &runner,
-              const std::vector<SimConfig> &configs,
-              const std::vector<WorkloadId> &workloads)
-{
-    // With caching disabled there is no memo cache to warm: the
-    // batch's work would be thrown away and re-simulated by the
-    // caller's run() loop.
-    if (!runner.cachingEnabled())
-        return;
-    std::vector<Point> points;
-    points.reserve(configs.size() * workloads.size());
-    for (const auto &cfg : configs) {
-        for (auto wl : workloads)
-            points.push_back({wl, cfg});
-    }
-    (void)runner.runAll(points);
-}
-
 std::vector<Series>
 runSchedulerStudy(ExperimentRunner &runner)
 {
@@ -81,51 +61,36 @@ runPagePolicyStudy(ExperimentRunner &runner)
 std::vector<Series>
 runChannelStudy(ExperimentRunner &runner)
 {
-    // One batch covers the whole study: the 1-channel baseline plus
-    // every (workload, scheme) point at 2 and 4 channels. The
-    // per-workload best columns are then assembled from the batch
-    // results without further simulation.
-    std::vector<Point> points;
-    for (auto wl : kAllWorkloads)
-        points.push_back({wl, SimConfig::baseline()});
+    // One batch covers the 1-channel baseline plus every mapping
+    // scheme at 2 and 4 channels; each multi-channel column then keeps
+    // every workload's best-IPC scheme without further simulation.
+    std::vector<LabeledConfig> configs = {
+        {"1_channel", SimConfig::baseline()}};
     for (std::uint32_t channels : {2u, 4u}) {
-        for (auto wl : kAllWorkloads) {
-            for (auto scheme : kAllMappingSchemes) {
-                SimConfig cfg = SimConfig::baseline();
-                cfg.dram.channels = channels;
-                cfg.mapping = scheme;
-                points.push_back({wl, cfg});
-            }
+        for (auto scheme : kAllMappingSchemes) {
+            SimConfig cfg = SimConfig::baseline();
+            cfg.dram.channels = channels;
+            cfg.mapping = scheme;
+            configs.push_back({std::to_string(channels) + "_channel", cfg});
         }
     }
-    const auto metrics = runner.runAll(points);
+    const auto all = runConfigStudy(runner, configs);
 
-    std::vector<Series> out;
-    std::size_t i = 0;
-    {
-        Series s;
-        s.label = "1_channel";
-        for (auto wl : kAllWorkloads)
-            s.results[wl] = metrics[i++];
-        out.push_back(std::move(s));
-    }
-    for (std::uint32_t channels : {2u, 4u}) {
-        Series s;
-        s.label = std::to_string(channels) + "_channel";
+    std::vector<Series> out = {all.front()};
+    for (auto s = all.begin() + 1; s != all.end();
+         s += kAllMappingSchemes.size()) {
+        Series best{s->label, {}};
         for (auto wl : kAllWorkloads) {
             double bestIpc = -1.0;
-            MetricSet bestMetrics;
-            for (auto scheme : kAllMappingSchemes) {
-                (void)scheme;
-                const MetricSet &m = metrics[i++];
+            for (auto it = s; it != s + kAllMappingSchemes.size(); ++it) {
+                const MetricSet &m = it->results.at(wl);
                 if (m.userIpc > bestIpc) {
                     bestIpc = m.userIpc;
-                    bestMetrics = m;
+                    best.results[wl] = m;
                 }
             }
-            s.results[wl] = bestMetrics;
         }
-        out.push_back(std::move(s));
+        out.push_back(std::move(best));
     }
     return out;
 }
@@ -194,47 +159,14 @@ printFigure(const std::string &title, const std::string &metricName,
                 csv ? table.renderCsv().c_str() : table.render().c_str());
 }
 
-bool
-parseBenchFlags(int argc, char **argv, bool takesCsv)
-{
-    const auto fail = [&](const std::string &err) {
-        std::fprintf(stderr,
-                     "%s: %s\nusage: %s%s [--fast D] [--threads N]\n",
-                     argv[0], err.c_str(), argv[0],
-                     takesCsv ? " [--csv]" : "");
-        std::exit(2);
-    };
-    bool csv = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
-        if (flag == "--csv" && takesCsv) {
-            csv = true;
-            continue;
-        }
-        if (flag != "--fast" && flag != "--threads")
-            fail("unknown flag '" + flag + "'");
-        if (i + 1 == argc)
-            fail(flag + " needs a value");
-        const std::string value = argv[++i];
-        std::uint64_t n = 0;
-        if (!parseUint(value, n) || n == 0) {
-            fail(flag + (flag == "--fast" ? ": needs a nonzero divisor"
-                                          : ": needs at least one thread") +
-                 ", got '" + value + "'");
-        }
-        setenv(flag == "--fast" ? "CLOUDMC_FAST" : "CLOUDMC_THREADS",
-               value.c_str(), 1);
-    }
-    return csv;
-}
-
 int
 figureMain(int argc, char **argv, const std::string &title,
            const std::string &metricName,
            std::vector<Series> (*study)(ExperimentRunner &),
            MetricFn metric, bool normalizeToFirst, int precision)
 {
-    const bool csv = parseBenchFlags(argc, argv);
+    bool csv = false;
+    FlagSet().flag("--csv", csv).fast().threads().parse(argc, argv);
     ExperimentRunner runner;
     const auto series = study(runner);
     printFigure(title, metricName, series, metric, normalizeToFirst,
@@ -243,6 +175,34 @@ figureMain(int argc, char **argv, const std::string &title,
                  static_cast<unsigned long long>(runner.simulationsRun()),
                  static_cast<unsigned long long>(runner.cacheHits()));
     return 0;
+}
+
+std::string
+gitSha()
+{
+    if (const char *sha = std::getenv("CLOUDMC_GIT_SHA"))
+        return sha;
+    if (const char *sha = std::getenv("GITHUB_SHA"))
+        return sha;
+    if (std::FILE *p = popen("git rev-parse HEAD 2>/dev/null", "r")) {
+        char buf[64] = {};
+        const bool got = std::fgets(buf, sizeof(buf), p) != nullptr;
+        const bool clean = pclose(p) == 0;
+        if (got && clean) {
+            std::string sha(buf);
+            while (!sha.empty() &&
+                   std::isspace(static_cast<unsigned char>(sha.back()))) {
+                sha.pop_back();
+            }
+            if (sha.size() == 40)
+                return sha;
+        }
+    }
+#ifdef CLOUDMC_GIT_SHA_CONFIGURED
+    if (CLOUDMC_GIT_SHA_CONFIGURED[0] != '\0')
+        return CLOUDMC_GIT_SHA_CONFIGURED;
+#endif
+    return "unknown";
 }
 
 } // namespace mcsim::bench

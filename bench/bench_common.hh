@@ -19,6 +19,7 @@
 
 #include "common/table.hh"
 #include "sim/experiment.hh"
+#include "sim/options.hh"
 
 namespace mcsim::bench {
 
@@ -50,16 +51,6 @@ runConfigStudy(ExperimentRunner &runner,
                const std::vector<WorkloadId> &workloads = {
                    kAllWorkloads.begin(), kAllWorkloads.end()});
 
-/**
- * Warm the runner's memo cache with every (workload, config) point of
- * a sweep in one parallel batch, so subsequent serial run() calls all
- * hit the cache. For benches whose reporting loops are clearer serial.
- */
-void prefetchSweep(ExperimentRunner &runner,
-                   const std::vector<SimConfig> &configs,
-                   const std::vector<WorkloadId> &workloads = {
-                       kAllWorkloads.begin(), kAllWorkloads.end()});
-
 /** Run the paper's scheduler sweep (Figures 1-7): 5 schedulers x 12
  *  workloads on the Table 2 baseline. First series is FR-FCFS. */
 std::vector<Series> runSchedulerStudy(ExperimentRunner &runner);
@@ -89,25 +80,25 @@ void printFigure(const std::string &title, const std::string &metricName,
                  bool csv = false);
 
 /**
- * Parse the flags every figure and ablation binary shares: --csv
- * (returned; accepted only when @p takesCsv), --fast D (a nonzero
- * integer window divisor, exported as CLOUDMC_FAST) and --threads N
- * (N >= 1, exported as CLOUDMC_THREADS). Anything else, or a
- * malformed value, prints the error and a usage line to stderr and
- * exits 2 before any simulation runs.
- */
-bool parseBenchFlags(int argc, char **argv, bool takesCsv = true);
-
-/**
- * Standard main() body: parseBenchFlags(), then the study. Studies
- * submit their whole sweep as one ExperimentRunner batch, so uncached
- * points run on a worker pool (CLOUDMC_THREADS or the hardware
- * concurrency by default).
+ * Standard main() body: parse --csv, --fast D and --threads N
+ * (FlagSet, sim/options.hh), then the study. Studies submit their
+ * whole sweep as one ExperimentRunner batch, so uncached points run on
+ * a worker pool (CLOUDMC_THREADS or the hardware concurrency by
+ * default). Returns 0: a bad command line exits inside.
  */
 int figureMain(int argc, char **argv, const std::string &title,
                const std::string &metricName,
                std::vector<Series> (*study)(ExperimentRunner &),
                MetricFn metric, bool normalizeToFirst, int precision = 3);
+
+/**
+ * Commit fingerprint for perf-trajectory stamps, first hit wins: the
+ * CLOUDMC_GIT_SHA environment variable (explicit override), GITHUB_SHA
+ * (set by CI), `git rev-parse HEAD` in the current directory at bench
+ * time, the SHA CMake captured at configure time (stale across commits
+ * without a reconfigure), and "unknown".
+ */
+std::string gitSha();
 
 } // namespace mcsim::bench
 

@@ -14,22 +14,18 @@ int
 main(int argc, char **argv)
 {
     using namespace mcsim;
-    const bool csv = bench::parseBenchFlags(argc, argv);
+    bool csv = false;
+    FlagSet().flag("--csv", csv).fast().threads().parse(argc, argv);
 
     ExperimentRunner runner;
-    const SimConfig cfg = SimConfig::baseline();
-
-    std::vector<ExperimentRunner::Point> points;
-    for (auto wl : kAllWorkloads)
-        points.push_back({wl, cfg});
-    const auto metrics = runner.runAll(points);
+    const auto oapm =
+        bench::runConfigStudy(runner, {{"OAPM", SimConfig::baseline()}});
 
     TextTable table;
     table.setHeader({"workload", "1-access activations (%)"});
     double lo = 100.0, hi = 0.0;
-    std::size_t i = 0;
     for (auto wl : kAllWorkloads) {
-        const MetricSet &m = metrics[i++];
+        const MetricSet &m = oapm.front().results.at(wl);
         lo = std::min(lo, m.singleAccessPct);
         hi = std::max(hi, m.singleAccessPct);
         table.addRow({workloadAcronym(wl),

@@ -17,25 +17,21 @@
  * parallel/serial event-kernel ratio on this host).
  *
  * The smoke also cross-checks that every kernel produces bit-identical
- * metrics, the event kernel's core contract, and that the fairness
- * (schema v4) and stacked-backend (schema v6) MetricSet fields survive
- * a results-cache round-trip.
+ * metrics, the event kernel's core contract, and that a fairness, a
+ * stacked-backend and a tiered point each survive a results-cache
+ * round-trip in every MetricSet column (exit 3, 5 and 6 otherwise).
  *
  * Usage: kernel_smoke [--cycles N] [--workload ACR] [--device DEV]
  *                     [--channels N] [--kernel-threads N]
  *                     [--json PATH] [--check-regression BASELINE]
  *        (defaults: 2M measured core cycles, WS, DDR3-1600, 1 channel,
- *        1 thread, BENCH_kernel.json)
+ *        1 thread, BENCH_kernel.json; N >= 1, channels and kernel
+ *        threads at most 1024, and a bad flag or value exits 2 before
+ *        simulating)
  *
- * Entries are stamped with the git SHA and the device name, so the
- * accumulated perf trajectory is attributable to a commit and a
- * clock-ratio configuration. The SHA resolution chain (first hit
- * wins): the CLOUDMC_GIT_SHA environment variable (explicit
- * override), GITHUB_SHA (set by CI), `git rev-parse HEAD` run in the
- * current directory at bench time, the SHA CMake captured at
- * configure time (stale across commits without a reconfigure, so it
- * ranks below the live lookup), and finally "unknown" for builds
- * from a tarball with no git anywhere.
+ * Entries are stamped with the git SHA (bench::gitSha) and the device
+ * name, so the accumulated perf trajectory is attributable to a
+ * commit and a clock-ratio configuration.
  *
  * --check-regression reads the committed BASELINE json (normally the
  * in-tree BENCH_kernel*.json stamped by the last perf-affecting PR)
@@ -48,15 +44,18 @@
  * guard transfers across machines of different absolute speed.
  */
 
-#include <cctype>
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <variant>
+#include <vector>
 
+#include "bench_common.hh"
 #include "dram/devices.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
@@ -123,18 +122,6 @@ runOnce(WorkloadId wl, const DramDevice &dev,
     return r;
 }
 
-WorkloadId
-workloadByAcronym(const std::string &acr)
-{
-    for (auto wl : kAllWorkloads) {
-        if (acr == workloadAcronym(wl))
-            return wl;
-    }
-    std::fprintf(stderr, "unknown workload '%s', using WS\n",
-                 acr.c_str());
-    return WorkloadId::WS;
-}
-
 /** Whether two runs agree exactly (every MetricSet field and the end
  *  tick); names the first differing metric on stderr. */
 bool
@@ -146,183 +133,63 @@ sameRun(const KernelRun &a, const KernelRun &b, const char *what)
     return !diff && a.endTick == b.endTick;
 }
 
-/**
- * Schema-v4 round-trip check: the slowdown/fairness MetricSet fields
- * (weighted/harmonic speedup, max slowdown, the per-core IPC and
- * slowdown lists) must survive the results cache. Runs one tiny
- * fairness point (shared run + alone baseline) against a scratch
- * cache, reloads it with a fresh runner, and compares.
- */
+/** Whether column @p f of @p a and @p b agree to the ~6 significant
+ *  digits the results cache keeps (integers exactly). */
 bool
-fairnessCacheRoundtrips(WorkloadId wl, const DramDevice &dev,
-                        const std::string &cachePath)
+sameAtCsvPrecision(const MetricSet &a, const MetricSet &b,
+                   const MetricField &f)
 {
-    std::remove(cachePath.c_str());
-    SimConfig cfg = SimConfig::baseline();
-    cfg.applyDevice(dev);
-    cfg.warmupCoreCycles = 50'000;
-    cfg.measureCoreCycles = 150'000;
-    ExperimentRunner::Point p(wl, cfg);
-    ExperimentRunner::attachAloneBaseline(p);
-
-    MetricSet fresh, cached;
-    std::uint64_t rerunSims = 0;
-    {
-        ExperimentRunner runner(cachePath);
-        fresh = runner.runAll({p}, 1).front();
-    }
-    {
-        ExperimentRunner runner(cachePath);
-        cached = runner.runAll({p}, 1).front();
-        rerunSims = runner.simulationsRun();
-    }
-    std::remove(cachePath.c_str());
-
-    // The CSV stores ~6 significant digits; compare relatively.
-    const auto close = [](double a, double b) {
-        return std::fabs(a - b) <= 1e-5 * (std::fabs(b) + 1.0);
+    const auto close = [](double x, double y) {
+        return std::fabs(x - y) <= 1e-5 * (std::fabs(y) + 1.0);
     };
-    bool ok = rerunSims == 0 && fresh.hasFairness() &&
-              cached.hasFairness() &&
-              cached.perCoreIpc.size() == fresh.perCoreIpc.size() &&
-              cached.perCoreSlowdown.size() ==
-                  fresh.perCoreSlowdown.size() &&
-              close(cached.weightedSpeedup, fresh.weightedSpeedup) &&
-              close(cached.harmonicSpeedup, fresh.harmonicSpeedup) &&
-              close(cached.maxSlowdown, fresh.maxSlowdown);
-    for (std::size_t i = 0; ok && i < fresh.perCoreSlowdown.size(); ++i) {
-        ok = close(cached.perCoreIpc[i], fresh.perCoreIpc[i]) &&
-             close(cached.perCoreSlowdown[i], fresh.perCoreSlowdown[i]);
-    }
-    return ok;
+    return std::visit(
+        [&](auto member) {
+            const auto &x = a.*member;
+            const auto &y = b.*member;
+            using T = std::decay_t<decltype(x)>;
+            if constexpr (std::is_same_v<T, double>)
+                return close(x, y);
+            else if constexpr (std::is_same_v<T, std::vector<double>>)
+                return std::equal(x.begin(), x.end(), y.begin(), y.end(),
+                                  close);
+            else
+                return x == y;
+        },
+        f.member);
 }
 
 /**
- * Schema-v6 round-trip check: the stacked-backend MetricSet fields
- * (per-vault read-queue depths, the vault queue imbalance, and the
- * remap migration counters) must survive the results cache. Runs one
- * tiny stacked point (4 vaults, remapping on) against a scratch
- * cache, reloads it with a fresh runner, and compares.
+ * Results-cache round trip: run @p p against a scratch cache, recall
+ * it with a fresh runner (which must not simulate), and compare every
+ * metricFields() column. Each column named in @p exercised must leave
+ * its default in the fresh run, so the point exercises what it checks.
+ * Names each failing column on stderr.
  */
 bool
-stackedCacheRoundtrips(WorkloadId wl, const std::string &cachePath)
+cacheRoundtrips(const ExperimentRunner::Point &p,
+                const std::vector<std::string> &exercised,
+                const std::string &cachePath)
 {
     std::remove(cachePath.c_str());
-    SimConfig cfg = SimConfig::baseline();
-    cfg.applyDevice(dramDeviceOrDie("HMC2-8GB"));
-    cfg.setVaults(4);
-    cfg.remap.enabled = true;
-    cfg.remap.windowAccesses = 256;
-    cfg.warmupCoreCycles = 50'000;
-    cfg.measureCoreCycles = 150'000;
-    ExperimentRunner::Point p(wl, cfg);
-
-    MetricSet fresh, cached;
-    std::uint64_t rerunSims = 0;
-    {
-        ExperimentRunner runner(cachePath);
-        fresh = runner.runAll({p}, 1).front();
-    }
-    {
-        ExperimentRunner runner(cachePath);
-        cached = runner.runAll({p}, 1).front();
-        rerunSims = runner.simulationsRun();
-    }
+    const MetricSet fresh =
+        ExperimentRunner(cachePath).runAll({p}, 1).front();
+    ExperimentRunner rerun(cachePath);
+    const MetricSet cached = rerun.runAll({p}, 1).front();
     std::remove(cachePath.c_str());
 
-    const auto close = [](double a, double b) {
-        return std::fabs(a - b) <= 1e-5 * (std::fabs(b) + 1.0);
-    };
-    bool ok = rerunSims == 0 && fresh.perVaultReadQueue.size() == 4 &&
-              cached.perVaultReadQueue.size() == 4 &&
-              cached.remapMigrations == fresh.remapMigrations &&
-              cached.remapMigratedRows == fresh.remapMigratedRows &&
-              close(cached.vaultQueueImbalance,
-                    fresh.vaultQueueImbalance);
-    for (std::size_t i = 0; ok && i < fresh.perVaultReadQueue.size();
-         ++i) {
-        ok = close(cached.perVaultReadQueue[i],
-                   fresh.perVaultReadQueue[i]);
-    }
-    return ok;
-}
-
-/**
- * Schema-v7 (tiered-backend) acceptance: the tier columns (fast-tier
- * hit fraction, slow-tier read p99, migration counters) must survive
- * the results cache. Runs one tiny tiered point (hotness_based, a
- * monitor window small enough that migrations fire) against a scratch
- * cache, reloads it with a fresh runner, and compares.
- */
-bool
-tieredCacheRoundtrips(WorkloadId wl, const std::string &cachePath)
-{
-    std::remove(cachePath.c_str());
-    SimConfig cfg = SimConfig::baseline();
-    cfg.tier.enabled = true;
-    cfg.tier.policy = TierPolicy::HotnessBased;
-    cfg.tier.monitorWindowSamples = 64;
-    cfg.warmupCoreCycles = 50'000;
-    cfg.measureCoreCycles = 150'000;
-    ExperimentRunner::Point p(wl, cfg);
-
-    MetricSet fresh, cached;
-    std::uint64_t rerunSims = 0;
-    {
-        ExperimentRunner runner(cachePath);
-        fresh = runner.runAll({p}, 1).front();
-    }
-    {
-        ExperimentRunner runner(cachePath);
-        cached = runner.runAll({p}, 1).front();
-        rerunSims = runner.simulationsRun();
-    }
-    std::remove(cachePath.c_str());
-
-    const auto close = [](double a, double b) {
-        return std::fabs(a - b) <= 1e-5 * (std::fabs(b) + 1.0);
-    };
-    return rerunSims == 0 && fresh.fastTierHitPct > 0.0 &&
-           fresh.slowTierReadLatencyP99 > 0.0 &&
-           close(cached.fastTierHitPct, fresh.fastTierHitPct) &&
-           close(cached.slowTierReadLatencyP99,
-                 fresh.slowTierReadLatencyP99) &&
-           cached.tierMigrations == fresh.tierMigrations &&
-           cached.tierMigratedRows == fresh.tierMigratedRows;
-}
-
-/**
- * Commit fingerprint for the perf trajectory. Resolution chain (see
- * the file comment): CLOUDMC_GIT_SHA env, GITHUB_SHA env, a live
- * `git rev-parse HEAD`, the configure-time SHA baked in by CMake,
- * "unknown".
- */
-std::string
-gitSha()
-{
-    if (const char *sha = std::getenv("CLOUDMC_GIT_SHA"))
-        return sha;
-    if (const char *sha = std::getenv("GITHUB_SHA"))
-        return sha;
-    if (std::FILE *p = popen("git rev-parse HEAD 2>/dev/null", "r")) {
-        char buf[64] = {};
-        const bool got = std::fgets(buf, sizeof(buf), p) != nullptr;
-        const bool clean = pclose(p) == 0;
-        if (got && clean) {
-            std::string sha(buf);
-            while (!sha.empty() &&
-                   std::isspace(static_cast<unsigned char>(sha.back()))) {
-                sha.pop_back();
-            }
-            if (sha.size() == 40)
-                return sha;
+    bool ok = rerun.simulationsRun() == 0;
+    for (const MetricField &f : metricFields()) {
+        const bool idle =
+            std::count(exercised.begin(), exercised.end(), f.name) &&
+            sameAtCsvPrecision(fresh, MetricSet{}, f);
+        if (idle || !sameAtCsvPrecision(fresh, cached, f)) {
+            std::fprintf(stderr, "kernel_smoke: %s fails the cache "
+                                 "round-trip\n",
+                         f.name);
+            ok = false;
         }
     }
-#ifdef CLOUDMC_GIT_SHA_CONFIGURED
-    if (CLOUDMC_GIT_SHA_CONFIGURED[0] != '\0')
-        return CLOUDMC_GIT_SHA_CONFIGURED;
-#endif
-    return "unknown";
+    return ok;
 }
 
 /**
@@ -355,52 +222,35 @@ int
 main(int argc, char **argv)
 {
     std::uint64_t cycles = 2'000'000;
-    std::string workload = "WS";
-    std::string device = "DDR3-1600";
+    WorkloadId wl = WorkloadId::WS;
+    const DramDevice *dev = &dramDeviceOrDie("DDR3-1600");
     std::string jsonPath = "BENCH_kernel.json";
     std::string regressionBaseline;
     std::uint32_t channels = 1;
     std::uint32_t kernelThreads = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--cycles") == 0 && i + 1 < argc)
-            cycles = std::strtoull(argv[++i], nullptr, 10);
-        else if (std::strcmp(argv[i], "--workload") == 0 && i + 1 < argc)
-            workload = argv[++i];
-        else if (std::strcmp(argv[i], "--device") == 0 && i + 1 < argc)
-            device = argv[++i];
-        else if (std::strcmp(argv[i], "--channels") == 0 && i + 1 < argc)
-            channels = static_cast<std::uint32_t>(
-                std::strtoul(argv[++i], nullptr, 10));
-        else if (std::strcmp(argv[i], "--kernel-threads") == 0 &&
-                 i + 1 < argc)
-            kernelThreads = static_cast<std::uint32_t>(
-                std::strtoul(argv[++i], nullptr, 10));
-        else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            jsonPath = argv[++i];
-        else if (std::strcmp(argv[i], "--check-regression") == 0 &&
-                 i + 1 < argc)
-            regressionBaseline = argv[++i];
-    }
-    const WorkloadId wl = workloadByAcronym(workload);
-    const DramDevice &dev = dramDeviceOrDie(device);
+    FlagSet()
+        .flag("--cycles N", cycles, 1)
+        .flag("--workload ACR", wl)
+        .flag("--device DEV", dev)
+        .flag("--channels N", channels, 1, 1024)
+        .flag("--kernel-threads N", kernelThreads, 1,
+              ExperimentRunner::kMaxThreads)
+        .flag("--json PATH", jsonPath)
+        .flag("--check-regression BASELINE", regressionBaseline)
+        .parse(argc, argv);
     const unsigned hostHw = std::thread::hardware_concurrency();
     // Read the baseline up front: --json may point at the same file
-    // this run is about to overwrite.
+    // this run is about to overwrite. Without --check-regression the
+    // empty path opens nothing, so every value reads as missing.
     const double baseSpeedup =
-        regressionBaseline.empty()
-            ? -1.0
-            : baselineValue(regressionBaseline, "speedup_vs_reference");
+        baselineValue(regressionBaseline, "speedup_vs_reference");
     const double baseSelfSpeedup =
-        regressionBaseline.empty()
-            ? -1.0
-            : baselineValue(regressionBaseline, "self_speedup");
+        baselineValue(regressionBaseline, "self_speedup");
     const double baseHostHw =
-        regressionBaseline.empty()
-            ? -1.0
-            : baselineValue(regressionBaseline, "host_hw_concurrency");
+        baselineValue(regressionBaseline, "host_hw_concurrency");
 
-    const KernelRun ref = runOnce(wl, dev, cycles, true, channels);
-    const KernelRun ev = runOnce(wl, dev, cycles, false, channels);
+    const KernelRun ref = runOnce(wl, *dev, cycles, true, channels);
+    const KernelRun ev = runOnce(wl, *dev, cycles, false, channels);
     bool bitIdentical = sameRun(ev, ref, "event and reference kernels");
     const double speedup =
         ref.mticksPerS > 0.0 ? ev.mticksPerS / ref.mticksPerS : 0.0;
@@ -411,22 +261,43 @@ main(int argc, char **argv)
     KernelRun par;
     double selfSpeedup = 0.0;
     if (kernelThreads > 1) {
-        par = runOnce(wl, dev, cycles, false, channels, kernelThreads);
+        par = runOnce(wl, *dev, cycles, false, channels, kernelThreads);
         bitIdentical =
             sameRun(par, ev, "parallel and event kernels") && bitIdentical;
         selfSpeedup =
             ev.mticksPerS > 0.0 ? par.mticksPerS / ev.mticksPerS : 0.0;
     }
+
+    // Round-trip points: fairness (shared run plus alone baseline),
+    // stacked (4 HMC2 vaults, remapping on) and tiered (hotness_based,
+    // a monitor window small enough that migrations fire).
+    SimConfig tiny = SimConfig::baseline();
+    tiny.warmupCoreCycles = 50'000;
+    tiny.measureCoreCycles = 150'000;
+    ExperimentRunner::Point fairness(wl, tiny);
+    fairness.cfg.applyDevice(*dev);
+    ExperimentRunner::attachAloneBaseline(fairness);
+    ExperimentRunner::Point stacked(wl, tiny);
+    stacked.cfg.applyDevice(dramDeviceOrDie("HMC2-8GB"));
+    stacked.cfg.setVaults(4);
+    stacked.cfg.remap.enabled = true;
+    stacked.cfg.remap.windowAccesses = 256;
+    ExperimentRunner::Point tiered(wl, tiny);
+    tiered.cfg.tier.enabled = true;
+    tiered.cfg.tier.policy = TierPolicy::HotnessBased;
+    tiered.cfg.tier.monitorWindowSamples = 64;
+    const std::string scratch = jsonPath + ".cache.tmp.csv";
     const bool fairnessRoundtrip =
-        fairnessCacheRoundtrips(wl, dev, jsonPath + ".cache.tmp.csv");
+        cacheRoundtrips(fairness, {"per_core_slowdown"}, scratch);
     const bool stackedRoundtrip =
-        stackedCacheRoundtrips(wl, jsonPath + ".cache.tmp.csv");
-    const bool tieredRoundtrip =
-        tieredCacheRoundtrips(wl, jsonPath + ".cache.tmp.csv");
+        cacheRoundtrips(stacked, {"per_vault_read_queue"}, scratch);
+    const bool tieredRoundtrip = cacheRoundtrips(
+        tiered, {"fast_tier_hit_pct", "slow_tier_read_latency_p99"},
+        scratch);
 
     std::printf("kernel_smoke: fig01 config, workload %s, device %s, "
                 "%u channel(s), %llu measured core cycles\n",
-                workload.c_str(), dev.name.c_str(), channels,
+                workloadAcronym(wl), dev->name.c_str(), channels,
                 static_cast<unsigned long long>(cycles));
     std::printf("  event kernel:     %7.2f Mticks/s (%.3f s, core ticks "
                 "run %.1f%%, batched %.1f%%, ctl ticks run %.1f%%)\n",
@@ -481,8 +352,8 @@ main(int argc, char **argv)
         "    \"mticks_per_s\": %.3f,\n"
         "    \"wall_s\": %.4f\n"
         "  },\n",
-        gitSha().c_str(), workload.c_str(), dev.name.c_str(), channels,
-        static_cast<unsigned long long>(clk.ticksPerCore.count()),
+        bench::gitSha().c_str(), workloadAcronym(wl), dev->name.c_str(),
+        channels, static_cast<unsigned long long>(clk.ticksPerCore.count()),
         static_cast<unsigned long long>(clk.ticksPerDram.count()),
         static_cast<unsigned long long>(cycles),
         static_cast<unsigned long long>(ev.endTick.count()), kernelThreads,

@@ -13,27 +13,26 @@ int
 main(int argc, char **argv)
 {
     using namespace mcsim;
-    const bool csv = bench::parseBenchFlags(argc, argv);
+    bool csv = false;
+    FlagSet().flag("--csv", csv).fast().threads().parse(argc, argv);
 
-    ExperimentRunner runner;
-
-    // Simulate the full (channels, scheme, workload) matrix in one
-    // parallel batch; the table loops below hit the memo cache.
-    {
-        std::vector<SimConfig> sweep;
-        for (std::uint32_t channels : {2u, 4u}) {
-            for (auto scheme : kAllMappingSchemes) {
-                SimConfig cfg = SimConfig::baseline();
-                cfg.dram.channels = channels;
-                cfg.mapping = scheme;
-                sweep.push_back(cfg);
-            }
+    // The full (channels, scheme, workload) matrix is one batch.
+    constexpr std::uint32_t kChannels[] = {2, 4};
+    std::vector<bench::LabeledConfig> configs;
+    for (std::uint32_t channels : kChannels) {
+        for (auto scheme : kAllMappingSchemes) {
+            SimConfig cfg = SimConfig::baseline();
+            cfg.dram.channels = channels;
+            cfg.mapping = scheme;
+            configs.push_back({mappingSchemeName(scheme), cfg});
         }
-        bench::prefetchSweep(runner, sweep);
     }
+    ExperimentRunner runner;
+    const auto series = bench::runConfigStudy(runner, configs);
 
     // Full IPC matrix per channel count.
-    for (std::uint32_t channels : {2u, 4u}) {
+    auto s = series.begin();
+    for (std::uint32_t channels : kChannels) {
         TextTable table;
         std::vector<std::string> header{"workload"};
         for (auto scheme : kAllMappingSchemes)
@@ -43,21 +42,19 @@ main(int argc, char **argv)
         for (auto wl : kAllWorkloads) {
             std::vector<std::string> row{workloadAcronym(wl)};
             double bestIpc = -1.0;
-            MappingScheme best = MappingScheme::RoRaBaCoCh;
-            for (auto scheme : kAllMappingSchemes) {
-                SimConfig cfg = SimConfig::baseline();
-                cfg.dram.channels = channels;
-                cfg.mapping = scheme;
-                const MetricSet m = runner.run(wl, cfg);
-                row.push_back(TextTable::num(m.userIpc, 3));
-                if (m.userIpc > bestIpc) {
-                    bestIpc = m.userIpc;
-                    best = scheme;
+            std::string best;
+            for (auto it = s; it != s + kAllMappingSchemes.size(); ++it) {
+                const double ipc = it->results.at(wl).userIpc;
+                row.push_back(TextTable::num(ipc, 3));
+                if (ipc > bestIpc) {
+                    bestIpc = ipc;
+                    best = it->label;
                 }
             }
-            row.emplace_back(mappingSchemeName(best));
+            row.push_back(best);
             table.addRow(std::move(row));
         }
+        s += kAllMappingSchemes.size();
         if (!csv) {
             std::printf("Table 4 (%u-channel): user IPC per address "
                         "mapping scheme\n",

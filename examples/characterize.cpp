@@ -6,12 +6,12 @@
  * activation fraction, bandwidth utilization), next to the targets
  * read off the paper's Figures 2, 4, 7 and 8.
  *
- * Usage: characterize [--fast N]   (N divides the simulation windows)
+ * Usage: characterize [--fast D]   (D divides the simulation windows)
+ *        characterize --help | --list
+ *        (a bad flag or value exits 2 before simulating)
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "common/table.hh"
@@ -52,14 +52,7 @@ targetFor(WorkloadId id)
 int
 main(int argc, char **argv)
 {
-    if (argc > 1 && (std::string(argv[1]) == "--help" ||
-                     std::string(argv[1]) == "--list")) {
-        std::printf("usage: characterize [--fast N]\n\n%s",
-                    ExperimentOptions::listText().c_str());
-        return 0;
-    }
-    if (argc > 2 && std::string(argv[1]) == "--fast")
-        setenv("CLOUDMC_FAST", argv[2], 1);
+    FlagSet().fast().help(ExperimentOptions::listText()).parse(argc, argv);
 
     ExperimentRunner runner;
     const SimConfig cfg = SimConfig::baseline();

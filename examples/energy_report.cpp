@@ -57,25 +57,11 @@ systemEnergy(System &sys, const DramPowerParams &power)
 int
 main(int argc, char **argv)
 {
-    const std::string wanted = argc > 1 ? argv[1] : "MS";
-    if (wanted == "--help" || wanted == "--list") {
-        std::printf("usage: energy_report [workload]\n\n%s",
-                    ExperimentOptions::listText().c_str());
-        return 0;
-    }
     WorkloadId id = WorkloadId::MS;
-    bool found = false;
-    for (auto w : kAllWorkloads) {
-        if (wanted == workloadAcronym(w)) {
-            id = w;
-            found = true;
-            break;
-        }
-    }
-    if (!found) {
-        std::fprintf(stderr, "unknown workload '%s'\n", wanted.c_str());
-        return 1;
-    }
+    FlagSet()
+        .positional("workload", id)
+        .help(ExperimentOptions::listText())
+        .parse(argc, argv);
 
     SimConfig base = SimConfig::baseline();
     base.warmupCoreCycles = 500'000;

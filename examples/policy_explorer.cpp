@@ -5,14 +5,15 @@
  * FR-FCFS + open-adaptive baseline. The tool a controller architect
  * would reach for when asking "which pairing suits my workload?".
  *
- * Usage: policy_explorer [workload-acronym] [--fast N]
+ * Usage: policy_explorer [workload-acronym] [--fast D]
+ *        policy_explorer --help | --list
  *   e.g. policy_explorer WS
  *        policy_explorer TPCH-Q6 --fast 4
+ *   (default DS; a bad flag, workload or value exits 2 before
+ *   simulating)
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -29,84 +30,46 @@ constexpr std::array<SchedulerKind, 9> kSchedulers = {
     SchedulerKind::ParBs,  SchedulerKind::Atlas,     SchedulerKind::Rl,
     SchedulerKind::Fqm,    SchedulerKind::Tcm,       SchedulerKind::Stfm};
 
-constexpr std::array<PagePolicyKind, 8> kPolicies = {
-    PagePolicyKind::OpenAdaptive, PagePolicyKind::CloseAdaptive,
-    PagePolicyKind::Rbpp,         PagePolicyKind::Abpp,
-    PagePolicyKind::Open,         PagePolicyKind::Close,
-    PagePolicyKind::Timer,        PagePolicyKind::History};
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string wanted = "DS";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--help") == 0 ||
-            std::strcmp(argv[i], "--list") == 0) {
-            std::printf("usage: policy_explorer [workload] [--fast N]"
-                        "\n\n%s",
-                        ExperimentOptions::listText().c_str());
-            return 0;
-        } else if (std::strcmp(argv[i], "--fast") == 0 && i + 1 < argc) {
-            setenv("CLOUDMC_FAST", argv[++i], 1);
-        } else {
-            wanted = argv[i];
-        }
-    }
-
     WorkloadId id = WorkloadId::DS;
-    bool found = false;
-    for (auto w : kAllWorkloads) {
-        if (wanted == workloadAcronym(w)) {
-            id = w;
-            found = true;
-            break;
+    FlagSet()
+        .positional("workload", id)
+        .fast()
+        .help(ExperimentOptions::listText())
+        .parse(argc, argv);
+
+    // The whole scheduler x policy grid is one batch; its first point
+    // is the FR-FCFS + OpenAdaptive baseline.
+    std::vector<ExperimentRunner::Point> points;
+    for (auto sched : kSchedulers) {
+        for (auto pp : kAllPagePolicies) {
+            SimConfig cfg = SimConfig::baseline();
+            cfg.scheduler = sched;
+            cfg.pagePolicy = pp;
+            points.push_back({id, cfg});
         }
     }
-    if (!found) {
-        std::fprintf(stderr, "unknown workload '%s'; choose from:",
-                     wanted.c_str());
-        for (auto w : kAllWorkloads)
-            std::fprintf(stderr, " %s", workloadAcronym(w));
-        std::fprintf(stderr, "\n");
-        return 1;
-    }
-
     ExperimentRunner runner;
-    SimConfig base = SimConfig::baseline();
-    const double baseIpc = runner.run(id, base).userIpc;
-
-    // Simulate the whole scheduler x policy grid as one parallel
-    // batch; the table loop below resolves from the memo cache.
-    if (runner.cachingEnabled()) {
-        std::vector<ExperimentRunner::Point> points;
-        for (auto sched : kSchedulers) {
-            for (auto pp : kPolicies) {
-                SimConfig cfg = base;
-                cfg.scheduler = sched;
-                cfg.pagePolicy = pp;
-                points.push_back({id, cfg});
-            }
-        }
-        (void)runner.runAll(points);
-    }
+    const auto metrics = runner.runAll(points);
+    const double baseIpc = metrics.front().userIpc;
 
     TextTable table;
     std::vector<std::string> header{"scheduler \\ policy"};
-    for (auto pp : kPolicies)
+    for (auto pp : kAllPagePolicies)
         header.emplace_back(pagePolicyKindName(pp));
     table.setHeader(std::move(header));
 
     double bestIpc = 0.0;
     std::string bestLabel;
+    auto m = metrics.begin();
     for (auto sched : kSchedulers) {
         std::vector<std::string> row{schedulerKindName(sched)};
-        for (auto pp : kPolicies) {
-            SimConfig cfg = base;
-            cfg.scheduler = sched;
-            cfg.pagePolicy = pp;
-            const double ipc = runner.run(id, cfg).userIpc;
+        for (auto pp : kAllPagePolicies) {
+            const double ipc = (m++)->userIpc;
             if (ipc > bestIpc) {
                 bestIpc = ipc;
                 bestLabel = std::string(schedulerKindName(sched)) + " + " +

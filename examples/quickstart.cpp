@@ -20,29 +20,11 @@ using namespace mcsim;
 int
 main(int argc, char **argv)
 {
-    const std::string wanted = argc > 1 ? argv[1] : "DS";
-    if (wanted == "--help" || wanted == "--list") {
-        std::printf("usage: quickstart [workload-acronym]\n\n%s",
-                    ExperimentOptions::listText().c_str());
-        return 0;
-    }
     WorkloadId id = WorkloadId::DS;
-    bool found = false;
-    for (auto w : kAllWorkloads) {
-        if (wanted == workloadAcronym(w)) {
-            id = w;
-            found = true;
-            break;
-        }
-    }
-    if (!found) {
-        std::fprintf(stderr, "unknown workload '%s'; choose from:",
-                     wanted.c_str());
-        for (auto w : kAllWorkloads)
-            std::fprintf(stderr, " %s", workloadAcronym(w));
-        std::fprintf(stderr, "\n");
-        return 1;
-    }
+    FlagSet()
+        .positional("workload", id)
+        .help(ExperimentOptions::listText())
+        .parse(argc, argv);
 
     const WorkloadParams workload = workloadPreset(id);
     SimConfig cfg = SimConfig::baseline();

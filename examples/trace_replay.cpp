@@ -38,28 +38,13 @@ printRow(const char *label, const MetricSet &m)
 int
 main(int argc, char **argv)
 {
-    const std::string wanted = argc > 1 ? argv[1] : "MS";
-    if (wanted == "--help" || wanted == "--list") {
-        std::printf("usage: trace_replay [workload] [trace-path]\n\n%s",
-                    ExperimentOptions::listText().c_str());
-        return 0;
-    }
-    const std::string path =
-        argc > 2 ? argv[2] : "/tmp/cloudmc_example.trace";
-
     WorkloadId id = WorkloadId::MS;
-    bool found = false;
-    for (auto w : kAllWorkloads) {
-        if (wanted == workloadAcronym(w)) {
-            id = w;
-            found = true;
-            break;
-        }
-    }
-    if (!found) {
-        std::fprintf(stderr, "unknown workload '%s'\n", wanted.c_str());
-        return 1;
-    }
+    std::string path = "/tmp/cloudmc_example.trace";
+    FlagSet()
+        .positional("workload", id)
+        .positional("trace-path", path)
+        .help(ExperimentOptions::listText())
+        .parse(argc, argv);
 
     SimConfig cfg = SimConfig::baseline();
     cfg.warmupCoreCycles = 200'000;

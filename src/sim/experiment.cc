@@ -26,25 +26,31 @@ ExperimentRunner::ExperimentRunner(std::string cachePath)
     cachingEnabled_ = cachePath_ != "-";
     if (cachingEnabled_)
         loadCache();
+    // Pool workers read CLOUDMC_FAST too; fail here, on one thread.
+    (void)fastDivisor();
+    (void)defaultThreads();
 }
 
 std::uint64_t
 ExperimentRunner::fastDivisor()
 {
     const char *env = std::getenv("CLOUDMC_FAST");
-    if (!env)
-        return 1;
-    const auto v = std::strtoull(env, nullptr, 10);
-    return v >= 1 ? v : 1;
+    std::uint64_t v = 1;
+    if (env && (!parseUint(env, v) || v == 0))
+        mc_fatal("CLOUDMC_FAST needs a nonzero divisor, got '", env, "'");
+    return v;
 }
 
 unsigned
 ExperimentRunner::defaultThreads()
 {
     if (const char *env = std::getenv("CLOUDMC_THREADS")) {
-        const auto v = std::strtoul(env, nullptr, 10);
-        if (v >= 1)
-            return static_cast<unsigned>(v);
+        std::uint64_t v = 0;
+        if (!parseUint(env, v) || v == 0 || v > kMaxThreads) {
+            mc_fatal("CLOUDMC_THREADS needs an integer in [1, ",
+                     kMaxThreads, "], got '", env, "'");
+        }
+        return static_cast<unsigned>(v);
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw >= 1 ? hw : 1;
@@ -352,25 +358,7 @@ ExperimentRunner::mixedFairnessPoint(const std::vector<MixPart> &parts,
 MetricSet
 ExperimentRunner::run(WorkloadId workload, const SimConfig &cfg)
 {
-    const std::string key = configKey(workload, cfg);
-    if (cachingEnabled_) {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = cache_.find(key);
-        if (it != cache_.end()) {
-            ++cacheHits_;
-            return it->second;
-        }
-    }
-
-    const MetricSet m = simulatePoint(Point(workload, cfg));
-
-    std::lock_guard<std::mutex> lock(mu_);
-    ++simulationsRun_;
-    if (cachingEnabled_) {
-        cache_[key] = m;
-        appendToCache(key, m);
-    }
-    return m;
+    return runAll({Point(workload, cfg)}, 1).front();
 }
 
 std::vector<MetricSet>

@@ -75,19 +75,22 @@ class ExperimentRunner
         std::vector<AloneBaseline> baselines;
     };
 
+    /** Most threads a sweep or a simulation may be given. */
+    static constexpr unsigned kMaxThreads = 1024;
+
     /**
      * @param cachePath CSV cache location; empty selects the
      *        CLOUDMC_CACHE environment variable or, failing that,
      *        "cloudmc_results_cache.csv" in the working directory.
      *        Pass "-" to disable caching entirely.
+     *
+     * Checks CLOUDMC_FAST and CLOUDMC_THREADS up front, so a malformed
+     * value stops the program before any point runs.
      */
     explicit ExperimentRunner(std::string cachePath = "");
 
-    /**
-     * Run (or recall) one simulation of @p workload under @p cfg.
-     * Honors CLOUDMC_FAST=<divisor> by dividing the warmup/measure
-     * windows, for quick smoke runs.
-     */
+    /** Run (or recall) one simulation of @p workload under @p cfg: a
+     *  one-point runAll(..., 1). */
     MetricSet run(WorkloadId workload, const SimConfig &cfg);
 
     /**
@@ -108,9 +111,17 @@ class ExperimentRunner
     /**
      * Worker count used by the single-argument runAll():
      * CLOUDMC_THREADS when set, else std::thread::hardware_concurrency
-     * (at least 1).
+     * (at least 1). A CLOUDMC_THREADS that is not an integer in
+     * [1, kMaxThreads] is a fatal error naming the value.
      */
     static unsigned defaultThreads();
+
+    /**
+     * The window divisor every point runs under: CLOUDMC_FAST when set,
+     * else 1 (full length). A value that is not a nonzero integer is a
+     * fatal error naming it, never a silent full-length run.
+     */
+    static std::uint64_t fastDivisor();
 
     /**
      * How one thread budget is shared between the two parallelism
@@ -181,9 +192,6 @@ class ExperimentRunner
     std::uint64_t cacheHits() const { return cacheHits_; }
     std::uint64_t simulationsRun() const { return simulationsRun_; }
 
-    /** False when constructed with "-": results are never memoized. */
-    bool cachingEnabled() const { return cachingEnabled_; }
-
   private:
     void loadCache();
     /**
@@ -194,16 +202,16 @@ class ExperimentRunner
      * holds mu_.
      */
     void appendToCache(const std::string &key, const MetricSet &m);
-    static std::uint64_t fastDivisor();
     /** The config a point runs: windows divided by CLOUDMC_FAST, and
      *  @p kernelThreads (when nonzero: the sweep's share of the thread
      *  budget, see planThreadSplit) in place of cfg.kernelThreads. */
     static SimConfig runConfig(const SimConfig &cfg,
                                std::uint32_t kernelThreads = 0);
     static MetricSet simulatePoint(const Point &p,
-                                   std::uint32_t kernelThreads = 0);
+                                   std::uint32_t kernelThreads);
 
     std::string cachePath_;
+    /** False when constructed with "-": results are never memoized. */
     bool cachingEnabled_ = true;
     /** The cache file ends inside a section cacheHeader() opened. */
     bool sectionOpen_ = false;

@@ -301,7 +301,7 @@ buildKnobTable()
             {"workload", "workloads", "ACRONYM[,...]",
              "paper workload (see --list); also a bare argument"},
             &ExperimentSpec::workloads, "workload", nullptr,
-            byName<kAllWorkloads, workloadAcronym>,
+            tryWorkloadFromAcronym,
             [](Point &p, const WorkloadId &w) { p.workload = w; },
             [](const Point &p) {
                 return std::string(workloadAcronym(p.workload));
@@ -336,7 +336,8 @@ buildKnobTable()
             {"kernel_threads", nullptr, "N",
              "threads inside one simulation; results are identical at "
              "any count, so it is not part of the cache key"},
-            "an integer", 1, 1024, field<&SimConfig::kernelThreads>)),
+            "an integer", 1, ExperimentRunner::kMaxThreads,
+            field<&SimConfig::kernelThreads>)),
         onOffKnob({"refresh", nullptr, "on|off", "DRAM refresh"},
                   field<&SimConfig::refreshEnabled>),
         bareFlag(

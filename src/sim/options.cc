@@ -1,12 +1,155 @@
 #include "options.hh"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
-#include "dram/devices.hh"
 #include "knobs.hh"
 
 namespace mcsim {
+
+std::string
+FlagSet::uintIn(const std::string &v, std::uint64_t lo, std::uint64_t hi,
+                std::uint64_t &n)
+{
+    if (parseUint(v, n) && n >= lo && n <= hi)
+        return {};
+    return "needs an integer " +
+           (hi == UINT64_MAX ? ">= " + std::to_string(lo)
+                             : "in [" + std::to_string(lo) + ", " +
+                                   std::to_string(hi) + "]");
+}
+
+FlagSet &
+FlagSet::flag(const char *spelling, bool &on)
+{
+    return add(spelling, [&on](const std::string &) {
+        on = true;
+        return std::string();
+    });
+}
+
+FlagSet &
+FlagSet::flag(const char *spelling, double &x, double lo, double hi)
+{
+    return add(spelling, [&x, lo, hi](const std::string &v) {
+        char *end = nullptr;
+        x = std::strtod(v.c_str(), &end);
+        if (!v.empty() && *end == '\0' && x >= lo && x < hi)
+            return std::string();
+        char need[64];
+        std::snprintf(need, sizeof(need), "needs a number in [%g, %g)", lo,
+                      hi);
+        return std::string(need);
+    });
+}
+
+FlagSet &
+FlagSet::flag(const char *spelling, std::string &text)
+{
+    return add(spelling, [&text](const std::string &v) {
+        text = v;
+        return std::string();
+    });
+}
+
+FlagSet &
+FlagSet::flag(const char *spelling, WorkloadId &workload)
+{
+    return add(spelling, [&workload](const std::string &v) {
+        if (tryWorkloadFromAcronym(v, workload))
+            return std::string();
+        std::string need = "needs one of";
+        for (WorkloadId id : kAllWorkloads)
+            need.append(" ").append(workloadAcronym(id));
+        return need;
+    });
+}
+
+FlagSet &
+FlagSet::flag(const char *spelling, const DramDevice *&device)
+{
+    return add(spelling, [&device](const std::string &v) {
+        device = findDramDevice(v);
+        return std::string(device ? ""
+                                  : "needs a DRAM device registry name");
+    });
+}
+
+FlagSet &
+FlagSet::fast()
+{
+    return add("--fast D", [](const std::string &v) {
+        std::uint64_t divisor = 0;
+        if (!parseUint(v, divisor) || divisor == 0)
+            return std::string("needs a nonzero divisor");
+        setenv("CLOUDMC_FAST", v.c_str(), 1);
+        return std::string();
+    });
+}
+
+FlagSet &
+FlagSet::threads()
+{
+    return add("--threads N", [](const std::string &v) {
+        std::uint64_t n = 0;
+        const std::string err =
+            uintIn(v, 1, ExperimentRunner::kMaxThreads, n);
+        if (err.empty())
+            setenv("CLOUDMC_THREADS", v.c_str(), 1);
+        return err;
+    });
+}
+
+void
+FlagSet::parse(int argc, char **argv) const
+{
+    std::string usage = std::string("usage: ") + argv[0];
+    for (const auto &f : positionals_)
+        usage += " [" + f.first + "]";
+    for (const auto &f : flags_)
+        usage += " [" + f.first + "]";
+    if (!help_.empty())
+        usage += " [--help] [--list]";
+    const auto fail = [&](const std::string &err) {
+        std::fprintf(stderr, "%s: %s\n%s\n", argv[0], err.c_str(),
+                     usage.c_str());
+        std::exit(2);
+    };
+    auto positional = positionals_.begin();
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (!help_.empty() && (arg == "--help" || arg == "--list")) {
+            std::printf("%s\n\n%s", usage.c_str(), help_.c_str());
+            std::exit(0);
+        }
+        if (arg.rfind('-', 0) != 0) {
+            if (positional == positionals_.end())
+                fail("unexpected argument '" + arg + "'");
+            const std::string err = positional->second(arg);
+            if (!err.empty()) {
+                fail(positional->first + ": " + err + ", got '" + arg +
+                     "'");
+            }
+            ++positional;
+            continue;
+        }
+        const auto f = std::find_if(
+            flags_.begin(), flags_.end(), [&](const Flag &flag) {
+                return arg == flag.first.substr(0, flag.first.find(' '));
+            });
+        if (f == flags_.end())
+            fail("unknown flag '" + arg + "'");
+        const bool bare = f->first.find(' ') == std::string::npos;
+        if (!bare && i + 1 == argc)
+            fail(arg + " needs a value");
+        const std::string value = bare ? "" : argv[++i];
+        const std::string err = f->second(value);
+        if (!err.empty())
+            fail(arg + ": " + err + ", got '" + value + "'");
+    }
+}
 
 std::string
 ExperimentOptions::parse(int argc, char **argv)

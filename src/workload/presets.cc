@@ -325,6 +325,18 @@ workloadAcronym(WorkloadId id)
     return "???";
 }
 
+bool
+tryWorkloadFromAcronym(const std::string &acronym, WorkloadId &out)
+{
+    for (WorkloadId id : kAllWorkloads) {
+        if (acronym == workloadAcronym(id)) {
+            out = id;
+            return true;
+        }
+    }
+    return false;
+}
+
 WorkloadCategory
 workloadCategory(WorkloadId id)
 {

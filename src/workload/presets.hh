@@ -53,6 +53,9 @@ WorkloadParams workloadPreset(WorkloadId id);
 /** Acronym used in the paper's figures (DS, MR, ...). */
 const char *workloadAcronym(WorkloadId id);
 
+/** The workload whose acronym is @p acronym; false when none is. */
+bool tryWorkloadFromAcronym(const std::string &acronym, WorkloadId &out);
+
 /** Category of a workload. */
 WorkloadCategory workloadCategory(WorkloadId id);
 

@@ -965,3 +965,30 @@ TEST(ExperimentCache, KeyHashesTheWindowsThatRun)
     EXPECT_NE(fullAtFast50,
               ExperimentRunner::configKey(WorkloadId::DS, full));
 }
+
+TEST(ExperimentRunnerDeathTest, MalformedEnvironmentIsFatal)
+{
+    // Each statement runs in a child, so the variables it sets stay
+    // out of this process.
+    const auto fatal = ::testing::ExitedWithCode(1);
+    EXPECT_EXIT(
+        {
+            setenv("CLOUDMC_FAST", "abc", 1);
+            ExperimentRunner runner("-");
+        },
+        fatal, "CLOUDMC_FAST needs a nonzero divisor, got 'abc'");
+    EXPECT_EXIT(
+        {
+            setenv("CLOUDMC_FAST", "0", 1);
+            ExperimentRunner runner("-");
+        },
+        fatal, "CLOUDMC_FAST needs a nonzero divisor, got '0'");
+    EXPECT_EXIT(
+        {
+            unsetenv("CLOUDMC_FAST");
+            setenv("CLOUDMC_THREADS", "4x", 1);
+            ExperimentRunner runner("-");
+        },
+        fatal,
+        "CLOUDMC_THREADS needs an integer in \\[1, 1024\\], got '4x'");
+}

@@ -1,18 +1,21 @@
 /**
  * @file
  * ExperimentOptions tests: flag parsing, every name table, error
- * reporting, and usage generation.
+ * reporting, and usage generation. FlagSet tests: typed values,
+ * positionals, and the exit-2 errors of the bench/example parser.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "dram/devices.hh"
+#include "sim/experiment.hh"
 #include "sim/options.hh"
 
 using namespace mcsim;
@@ -345,4 +348,113 @@ TEST(Options, ListShowsBackendAndVaultColumns)
         << l;
     EXPECT_NE(l.find("tTSV"), std::string::npos) << l;
     EXPECT_NE(l.find("HMC2-8GB"), std::string::npos) << l;
+}
+
+namespace {
+
+/** Run FlagSet::parse() over @p args, with "tool" as argv[0]. */
+void
+parseFlags(const FlagSet &flags, std::vector<std::string> args)
+{
+    args.insert(args.begin(), "tool");
+    std::vector<char *> argv;
+    for (auto &a : args)
+        argv.push_back(a.data());
+    flags.parse(static_cast<int>(argv.size()), argv.data());
+}
+
+} // namespace
+
+TEST(FlagSet, StoresTypedValues)
+{
+    std::uint64_t cycles = 0;
+    std::uint32_t threads = 0;
+    double theta = 0.0;
+    std::string path, trace = "default.trace";
+    bool csv = false;
+    WorkloadId wl = WorkloadId::DS, positional = WorkloadId::DS;
+    const DramDevice *dev = nullptr;
+    parseFlags(FlagSet()
+                   .positional("workload", positional)
+                   .positional("trace-path", trace)
+                   .flag("--cycles N", cycles, 1)
+                   .flag("--threads N", threads, 1, 8)
+                   .flag("--theta T", theta, 0.0, 1.0)
+                   .flag("--json PATH", path)
+                   .flag("--csv", csv)
+                   .flag("--workload ACR", wl)
+                   .flag("--device DEV", dev),
+               {"--cycles", "12", "TPCH-Q6", "--threads", "8", "--theta",
+                "0.5", "--json", "out.json", "--csv", "--workload", "WS",
+                "--device", "DDR4-2400"});
+    EXPECT_EQ(cycles, 12u);
+    EXPECT_EQ(threads, 8u);
+    EXPECT_DOUBLE_EQ(theta, 0.5);
+    EXPECT_EQ(path, "out.json");
+    EXPECT_TRUE(csv);
+    EXPECT_EQ(wl, WorkloadId::WS);
+    EXPECT_EQ(positional, WorkloadId::TPCHQ6);
+    // A positional with no argument left keeps its default.
+    EXPECT_EQ(trace, "default.trace");
+    ASSERT_NE(dev, nullptr);
+    EXPECT_EQ(dev->name, "DDR4-2400");
+}
+
+TEST(FlagSetDeathTest, BadCommandLinesExitTwoNamingTheProblem)
+{
+    std::uint64_t n = 5;
+    double x = 0.5;
+    WorkloadId wl = WorkloadId::DS;
+    const auto flags = [&] {
+        return FlagSet()
+            .flag("--n N", n, 1, 10)
+            .flag("--x X", x, 0.0, 1.0)
+            .flag("--workload ACR", wl);
+    };
+    const auto exit2 = ::testing::ExitedWithCode(2);
+    EXPECT_EXIT(parseFlags(flags(), {"--bogus"}), exit2,
+                "tool: unknown flag '--bogus'");
+    EXPECT_EXIT(parseFlags(flags(), {"--n", "11"}), exit2,
+                "--n: needs an integer in \\[1, 10\\], got '11'");
+    EXPECT_EXIT(parseFlags(flags(), {"--n", "-1"}), exit2, "got '-1'");
+    EXPECT_EXIT(parseFlags(flags(), {"--n", "3x"}), exit2, "got '3x'");
+    EXPECT_EXIT(parseFlags(flags(), {"--n"}), exit2, "--n needs a value");
+    EXPECT_EXIT(parseFlags(flags(), {"--x", "1"}), exit2,
+                "--x: needs a number in \\[0, 1\\), got '1'");
+    EXPECT_EXIT(parseFlags(flags(), {"--x", "0.5y"}), exit2, "got '0.5y'");
+    EXPECT_EXIT(parseFlags(flags(), {"--workload", "NOPE"}), exit2,
+                "--workload: needs one of DS .* TPCH-Q17, got 'NOPE'");
+    EXPECT_EXIT(parseFlags(flags(), {"stray"}), exit2,
+                "unexpected argument 'stray'");
+    EXPECT_EXIT(parseFlags(FlagSet().fast(), {"--fast", "0"}), exit2,
+                "--fast: needs a nonzero divisor, got '0'");
+    EXPECT_EXIT(parseFlags(FlagSet().threads(), {"--threads", "1025"}),
+                exit2, "--threads: needs an integer in \\[1, 1024\\]");
+    // --help is a flag only where the binary declares help text.
+    EXPECT_EXIT(parseFlags(flags(), {"--help"}), exit2,
+                "unknown flag '--help'");
+}
+
+TEST(FlagSetDeathTest, HelpAndListExitZero)
+{
+    for (const char *flag : {"--help", "--list"}) {
+        EXPECT_EXIT(parseFlags(FlagSet().fast().help("NAMES\n"), {flag}),
+                    ::testing::ExitedWithCode(0), "");
+    }
+}
+
+TEST(FlagSetDeathTest, FastAndThreadsReachTheRunner)
+{
+    // Run in a child so the exported variables stay out of this
+    // process.
+    EXPECT_EXIT(
+        {
+            parseFlags(FlagSet().fast().threads(),
+                       {"--fast", "7", "--threads", "3"});
+            std::exit(ExperimentRunner::fastDivisor() == 7 &&
+                              ExperimentRunner::defaultThreads() == 3
+                          ? 0
+                          : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
 }
