@@ -1,16 +1,21 @@
 /**
  * @file
  * google-benchmark microbenchmark of one memory-controller tick: a
- * DDR3-1600 FR-FCFS / open-adaptive MemController stepped every DRAM
- * cycle with its read queue held at a fixed depth (0, 4 or 32 queued
- * reads, random banks and rows). Depth 0 prices the fixed per-tick
- * cost; the slope to 4 and 32 prices each queued request. Serviced
+ * DDR3-1600 open-adaptive MemController under each of the paper's five
+ * schedulers, stepped every DRAM cycle with its read queue held at a
+ * fixed depth (0, 4 or 32 queued reads, random banks and rows). Depth
+ * 0 prices the fixed per-tick cost; the slope to 4 and 32 prices each
+ * queued request. FR-FCFS and FCFS_banks take the bank-head path,
+ * PAR-BS, ATLAS and RL one candidate per queued request. Serviced
  * reads are replaced inside the timed loop, so the figures include
  * one enqueue per serviced read.
+ *
+ *   ./micro_controller --benchmark_filter='sched:4/'   # RL only
  */
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -27,14 +32,16 @@ namespace {
 void
 controllerTick(benchmark::State &state)
 {
-    const auto depth = static_cast<std::size_t>(state.range(0));
+    const auto sched = static_cast<SchedulerKind>(state.range(0));
+    const auto depth = static_cast<std::size_t>(state.range(1));
+    state.SetLabel(schedulerKindName(sched));
     const DramDevice &dev = dramDeviceOrDie("DDR3-1600");
     const ClockDomains clk =
         ClockDomains::fromMhz(kBaselineClocks.coreMhz, dev.busMhz);
     Channel channel(dev.geometry, dev.timings, true, clk);
     MemController mc(channel,
-                     makeScheduler(SchedulerKind::FrFcfs, 16,
-                                   SchedulerParams{}, clk, dev.timings),
+                     makeScheduler(sched, 16, SchedulerParams{}, clk,
+                                   dev.timings),
                      makePagePolicy(PagePolicyKind::OpenAdaptive, clk), 16);
 
     std::vector<std::unique_ptr<Request>> storage;
@@ -83,8 +90,20 @@ controllerTick(benchmark::State &state)
         static_cast<double>(ticks ? ticks : 1);
 }
 
+/** The paper's schedulers as benchmark arguments. */
+std::vector<std::int64_t>
+paperSchedulers()
+{
+    std::vector<std::int64_t> kinds;
+    for (const SchedulerKind k : kPaperSchedulers)
+        kinds.push_back(static_cast<std::int64_t>(k));
+    return kinds;
+}
+
 } // namespace
 
-BENCHMARK(controllerTick)->Arg(0)->Arg(4)->Arg(32);
+BENCHMARK(controllerTick)
+    ->ArgNames({"sched", "depth"})
+    ->ArgsProduct({paperSchedulers(), {0, 4, 32}});
 
 BENCHMARK_MAIN();

@@ -119,7 +119,8 @@ main(int argc, char **argv)
         return runSweep(opts);
 
     const WorkloadParams workload = workloadPreset(opts.workload);
-    const SimConfig &cfg = opts.config;
+    // The windows CLOUDMC_FAST divides, like every sweep point's.
+    const SimConfig cfg = ExperimentRunner::runConfig(opts.config, 0);
     std::printf("run_experiment: %s | %s | %s | %s | %s | %u channel(s)\n",
                 workload.acronym.c_str(), cfg.deviceName.c_str(),
                 schedulerKindName(cfg.scheduler),
@@ -131,8 +132,8 @@ main(int argc, char **argv)
     if (opts.fairness) {
         // Derive the slowdown/fairness block against the single-core
         // alone run directly, so --fairness changes nothing about the
-        // base run's semantics (same windows, no CLOUDMC_FAST
-        // division, no results-cache traffic).
+        // base run's semantics (same windows, no results-cache
+        // traffic).
         WorkloadParams alone = workload;
         alone.cores = 1;
         System aloneSys(cfg, alone);

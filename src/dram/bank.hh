@@ -3,15 +3,17 @@
  * Per-bank DRAM state machine.
  *
  * A bank tracks its open row (if any) and the earliest tick at which
- * each command class may legally be issued to it. The channel layers
- * rank- and bus-level constraints on top.
+ * each command class may legally be issued to it (its gates). The
+ * channel layers rank- and bus-level constraints on top.
  */
 
 #ifndef CLOUDMC_DRAM_BANK_HH
 #define CLOUDMC_DRAM_BANK_HH
 
+#include <cstddef>
 #include <cstdint>
 
+#include "commands.hh"
 #include "common/types.hh"
 
 namespace mcsim {
@@ -25,10 +27,25 @@ class Bank
     bool isOpen() const { return openRow_ != kNoRow; }
     std::uint64_t openRow() const { return openRow_; }
 
-    Tick actAllowedAt() const { return actAllowedAt_; }
-    Tick rdAllowedAt() const { return rdAllowedAt_; }
-    Tick wrAllowedAt() const { return wrAllowedAt_; }
-    Tick preAllowedAt() const { return preAllowedAt_; }
+    /** This bank's own gate for @p cmd: ACT, RD, WR or PRE (refresh
+     *  reads the ACT gate). */
+    Tick
+    allowedAt(DramCommandType cmd) const
+    {
+        return allowedAt_[static_cast<std::size_t>(cmd)];
+    }
+    Tick
+    actAllowedAt() const
+    {
+        return allowedAt(DramCommandType::Activate);
+    }
+    Tick rdAllowedAt() const { return allowedAt(DramCommandType::Read); }
+    Tick wrAllowedAt() const { return allowedAt(DramCommandType::Write); }
+    Tick
+    preAllowedAt() const
+    {
+        return allowedAt(DramCommandType::Precharge);
+    }
 
     /** Number of column accesses to the currently open row. */
     std::uint32_t accessesThisActivation() const { return accesses_; }
@@ -48,10 +65,10 @@ class Bank
         activatedAt_ = now;
         lastAccessAt_ = now;
         accesses_ = 0;
-        rdAllowedAt_ = maxT(rdAllowedAt_, now + rcdTicks);
-        wrAllowedAt_ = maxT(wrAllowedAt_, now + rcdTicks);
-        preAllowedAt_ = maxT(preAllowedAt_, now + rasTicks);
-        actAllowedAt_ = maxT(actAllowedAt_, now + rcTicks);
+        raise(DramCommandType::Read, now + rcdTicks);
+        raise(DramCommandType::Write, now + rcdTicks);
+        raise(DramCommandType::Precharge, now + rasTicks);
+        raise(DramCommandType::Activate, now + rcTicks);
     }
 
     /** Apply a column read issued at @p now. */
@@ -60,7 +77,7 @@ class Bank
     {
         ++accesses_;
         lastAccessAt_ = now;
-        preAllowedAt_ = maxT(preAllowedAt_, now + rtpTicks);
+        raise(DramCommandType::Precharge, now + rtpTicks);
     }
 
     /** Apply a column write issued at @p now. */
@@ -69,7 +86,7 @@ class Bank
     {
         ++accesses_;
         lastAccessAt_ = now;
-        preAllowedAt_ = maxT(preAllowedAt_, now + writeRecoveryTicks);
+        raise(DramCommandType::Precharge, now + writeRecoveryTicks);
     }
 
     /** Apply a precharge issued at @p now. */
@@ -78,25 +95,30 @@ class Bank
     {
         openRow_ = kNoRow;
         accesses_ = 0;
-        actAllowedAt_ = maxT(actAllowedAt_, now + rpTicks);
+        raise(DramCommandType::Activate, now + rpTicks);
     }
 
     /** Push the earliest-activate time forward (refresh). */
     void
     blockUntil(Tick t)
     {
-        actAllowedAt_ = maxT(actAllowedAt_, t);
+        raise(DramCommandType::Activate, t);
     }
 
   private:
-    static Tick maxT(Tick a, Tick b) { return a > b ? a : b; }
+    /** Push @p cmd's gate forward to @p t (gates never move back). */
+    void
+    raise(DramCommandType cmd, Tick t)
+    {
+        Tick &gate = allowedAt_[static_cast<std::size_t>(cmd)];
+        if (t > gate)
+            gate = t;
+    }
 
     std::uint64_t openRow_ = kNoRow;
     std::uint32_t accesses_ = 0;
-    Tick actAllowedAt_;
-    Tick rdAllowedAt_;
-    Tick wrAllowedAt_;
-    Tick preAllowedAt_;
+    /** Gates indexed by DramCommandType: ACT, RD, WR, PRE. */
+    Tick allowedAt_[4];
     Tick lastAccessAt_;
     Tick activatedAt_;
 };

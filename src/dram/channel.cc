@@ -55,7 +55,7 @@ Channel::canIssueCas(const DramCommand &cmd, Tick now, bool isRead) const
     const Bank &bk = rk.bank(cmd.bank);
     if (!bk.isOpen() || bk.openRow() != cmd.row)
         return false;
-    const std::uint32_t group = groupOf(cmd);
+    const std::uint32_t group = groupOf(cmd.bank);
     if (now < rk.casAllowedAt(group)) // tCCD_L same-group floor.
         return false;
     if (isRead) {
@@ -89,7 +89,7 @@ Channel::canIssue(const DramCommand &cmd, Tick now) const
       case DramCommandType::Activate: {
         const Bank &bk = rk.bank(cmd.bank);
         return !bk.isOpen() && now >= bk.actAllowedAt() &&
-               now >= rk.actAllowedAt(groupOf(cmd));
+               now >= rk.actAllowedAt(groupOf(cmd.bank));
       }
       case DramCommandType::Read:
         return canIssueCas(cmd, now, true);
@@ -131,7 +131,7 @@ Channel::issue(const DramCommand &cmd, Tick now)
     ++commandsIssued_;
 
     const auto onCas = [this, &cmd, &rk](Tick at) {
-        const std::uint32_t group = groupOf(cmd);
+        const std::uint32_t group = groupOf(cmd.bank);
         rk.casIssued(at, dct(tm_.tCCDL), group);
         const int key =
             static_cast<int>(cmd.rank * geom_.bankGroupsPerRank + group);
@@ -147,7 +147,7 @@ Channel::issue(const DramCommand &cmd, Tick now)
                                    dct(tm_.tRAS),
                                    dct(tm_.tRC));
         rk.activated(now, dct(tm_.tRRD), dct(tm_.tRRDL),
-                     dct(tm_.tFAW), groupOf(cmd));
+                     dct(tm_.tFAW), groupOf(cmd.bank));
         if (rankOpenBanks_[cmd.rank]++ == 0)
             rankActiveSince_[cmd.rank] = now;
         ++stats_.activates;
@@ -187,7 +187,7 @@ Channel::issue(const DramCommand &cmd, Tick now)
         nextRdAt_ = std::max(nextRdAt_, now + dct(tm_.tCCD));
         rk.wrote(now, ticksWr() + ticksBurst() + dct(tm_.tWTR),
                  ticksWr() + ticksBurst() + dct(tm_.tWTRL),
-                 groupOf(cmd));
+                 groupOf(cmd.bank));
         onCas(now);
         stats_.dataBusBusyTicks += ticksBurst();
         ++stats_.writes;
@@ -255,72 +255,87 @@ Channel::refreshDueAfterSlow(Tick now) const
 }
 
 Tick
+Channel::dataBusFloor(std::uint32_t rank, TickSpan lead) const
+{
+    // dataStart(t) = t + lead must be at or past the (rank-switch
+    // adjusted) bus-free tick.
+    Tick busFree = dataBusFreeAt_;
+    if (lastDataRank_ >= 0 && lastDataRank_ != static_cast<int>(rank))
+        busFree += dct(tm_.tCS);
+    return busFree - Tick{} > lead ? busFree - lead : Tick{};
+}
+
+Tick
+Channel::sharedFloor(DramCommandType type, std::uint32_t rank,
+                     std::uint32_t group) const
+{
+    const auto maxT = [](Tick a, Tick b) { return a > b ? a : b; };
+    const Rank &rk = ranks_[rank];
+    switch (type) {
+      case DramCommandType::Activate:
+        return rk.actAllowedAt(group);
+      case DramCommandType::Read: // tCCD_L, tWTR, tCCD_S, data bus.
+        return maxT(maxT(rk.casAllowedAt(group), rk.rdAllowedAt(group)),
+                    maxT(nextRdAt_, dataBusFloor(rank, ticksRd())));
+      case DramCommandType::Write: // tCCD_L, tCCD_S/tRTW, data bus.
+        return maxT(maxT(rk.casAllowedAt(group), nextWrAt_),
+                    dataBusFloor(rank, ticksWr()));
+      case DramCommandType::Precharge:
+      case DramCommandType::Refresh:
+        break;
+    }
+    return Tick{};
+}
+
+Channel::CommandFloors
+Channel::sharedFloors(std::uint32_t rank, std::uint32_t group) const
+{
+    return {sharedFloor(DramCommandType::Activate, rank, group),
+            sharedFloor(DramCommandType::Read, rank, group),
+            sharedFloor(DramCommandType::Write, rank, group),
+            sharedFloor(DramCommandType::Precharge, rank, group)};
+}
+
+Tick
 Channel::nextLegalAt(const DramCommand &cmd, Tick now) const
 {
     // Mirrors canIssue() constraint for constraint; keep the two in
     // sync (test_event_kernel cross-checks them).
     const auto maxT = [](Tick a, Tick b) { return a > b ? a : b; };
-    Tick t = cmdBusFreeAt_;
     const Rank &rk = ranks_[cmd.rank];
-
+    const Bank &bk = rk.bank(cmd.bank);
     switch (cmd.type) {
-      case DramCommandType::Activate: {
-        const Bank &bk = rk.bank(cmd.bank);
+      case DramCommandType::Activate:
         if (bk.isOpen())
             return kMaxTick;
-        t = maxT(t, maxT(bk.actAllowedAt(),
-                         rk.actAllowedAt(groupOf(cmd))));
         break;
-      }
       case DramCommandType::Read:
-      case DramCommandType::Write: {
-        const bool isRead = cmd.type == DramCommandType::Read;
-        const Bank &bk = rk.bank(cmd.bank);
+      case DramCommandType::Write:
         if (!bk.isOpen() || bk.openRow() != cmd.row)
             return kMaxTick;
-        const std::uint32_t group = groupOf(cmd);
-        t = maxT(t, rk.casAllowedAt(group)); // tCCD_L floor.
-        if (isRead) {
-            t = maxT(t, maxT(bk.rdAllowedAt(), rk.rdAllowedAt(group)));
-            t = maxT(t, nextRdAt_);
-        } else {
-            t = maxT(t, maxT(bk.wrAllowedAt(), nextWrAt_));
-        }
-        // Data-bus availability: dataStart(t) = t + CAS lead must be
-        // at or past the (rank-switch adjusted) bus-free tick.
-        Tick busFree = dataBusFreeAt_;
-        if (lastDataRank_ >= 0 &&
-            lastDataRank_ != static_cast<int>(cmd.rank)) {
-            busFree += dct(tm_.tCS);
-        }
-        const TickSpan lead = isRead ? ticksRd() : ticksWr();
-        if (busFree - Tick{} > lead)
-            t = maxT(t, busFree - lead);
         break;
-      }
-      case DramCommandType::Precharge: {
-        const Bank &bk = rk.bank(cmd.bank);
+      case DramCommandType::Precharge:
         if (!bk.isOpen())
             return kMaxTick;
-        t = maxT(t, bk.preAllowedAt());
         break;
-      }
       case DramCommandType::Refresh: {
+        Tick t = cmdBusFreeAt_;
         if (tm_.perBankRefresh) {
-            const Bank &bk = rk.bank(cmd.bank);
             if (bk.isOpen())
                 return kMaxTick;
             t = maxT(t, bk.actAllowedAt());
-            break;
+        } else {
+            if (!rk.allBanksClosed())
+                return kMaxTick;
+            for (std::uint32_t b = 0; b < rk.numBanks(); ++b)
+                t = maxT(t, rk.bank(b).actAllowedAt());
         }
-        if (!rk.allBanksClosed())
-            return kMaxTick;
-        for (std::uint32_t b = 0; b < rk.numBanks(); ++b)
-            t = maxT(t, rk.bank(b).actAllowedAt());
-        break;
+        return maxT(t, now);
       }
     }
-    return maxT(t, now);
+    const Tick floor = sharedFloor(cmd.type, cmd.rank, groupOf(cmd.bank));
+    return maxT(maxT(cmdBusFreeAt_, bk.allowedAt(cmd.type)),
+                maxT(floor, now));
 }
 
 int

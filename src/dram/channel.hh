@@ -30,6 +30,7 @@
 #ifndef CLOUDMC_DRAM_CHANNEL_HH
 #define CLOUDMC_DRAM_CHANNEL_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -154,12 +155,51 @@ class Channel
      * assumption. Returns kMaxTick when the command needs a bank state
      * change first (e.g. an activate to an open bank), which during an
      * idle-skip window cannot happen.
+     *
+     * Two-part legality: for an ACT, RD, WR or PRE that matches its
+     * bank's state, the result is exactly
+     *
+     *     max(cmdBusFreeAt(), bank.allowedAt(type),
+     *         sharedFloor(type, rank, group), now)
+     *
+     * and it is computed that way, so a caller that composes the same
+     * pieces itself (the memory controller does, computing each
+     * (rank, bank group)'s floors once per candidate rebuild) cannot
+     * drift from it. canIssue() stays the independent check.
      */
     Tick nextLegalAt(const DramCommand &cmd, Tick now) const;
 
+    /**
+     * The part of @p type's legality that every bank of bank group
+     * @p group in rank @p rank shares:
+     *  - ACT: tRRD_S/L and tFAW (Rank::actAllowedAt);
+     *  - RD: the tCCD_L floor, tWTR (Rank::rdAllowedAt), the
+     *    channel's tCCD_S floor, and the data bus including the tCS
+     *    rank switch;
+     *  - WR: the tCCD_L floor, the channel's tCCD_S/tRTW floor, and
+     *    the same data-bus term;
+     *  - PRE: none (Tick 0).
+     * Like nextLegalAt(), a floor moves only when a command issues.
+     */
+    Tick sharedFloor(DramCommandType type, std::uint32_t rank,
+                     std::uint32_t group) const;
+
+    /** One Tick per command with a bank gate, indexed by
+     *  DramCommandType: ACT, RD, WR, PRE. */
+    using CommandFloors = std::array<Tick, 4>;
+    /** sharedFloor() of ACT, RD, WR and PRE at once. */
+    CommandFloors sharedFloors(std::uint32_t rank,
+                               std::uint32_t group) const;
+
+    /** Bank group of bank @p bankIdx (geometry convention), from a
+     *  table built once so the hot path does not divide. */
+    std::uint32_t groupOf(std::uint32_t bankIdx) const
+    {
+        return bankGroup_[bankIdx];
+    }
+
     /** Tick the command bus frees: no command issues before it. Only
-     *  grows, so a cached nextLegalAt() stays exact once re-clamped
-     *  to it (the controller's legality cache relies on that). */
+     *  grows, so a legal tick stays exact once re-clamped to it. */
     Tick cmdBusFreeAt() const { return cmdBusFreeAt_; }
 
     /** Commands issued on this channel since construction (never
@@ -195,12 +235,10 @@ class Channel
 
     bool canIssueCas(const DramCommand &cmd, Tick now, bool isRead) const;
 
-    /** Bank group of a command's bank (geometry convention), from a
-     *  table built once so the hot path does not divide. */
-    std::uint32_t groupOf(const DramCommand &cmd) const
-    {
-        return bankGroup_[cmd.bank];
-    }
+    /** Earliest issue tick of a CAS to @p rank whose data starts
+     *  @p lead after it: the bus-free tick (plus tCS on a rank switch)
+     *  minus the lead, or Tick 0 when that is not positive. */
+    Tick dataBusFloor(std::uint32_t rank, TickSpan lead) const;
 
     int firstRefreshDueRank(Tick now) const;
     Tick refreshDueAfterSlow(Tick now) const;

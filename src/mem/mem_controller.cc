@@ -24,15 +24,22 @@ MemController::MemController(Channel &channel,
     stats_.perCoreLatencyTicks.assign(numCores_ + 1, TickSpan{});
 
     banksPerRank_ = channel_.geometry().banksPerRank;
+    const std::uint32_t groups = channel_.geometry().bankGroupsPerRank;
     const std::size_t banks =
         std::size_t{channel_.numRanks()} * banksPerRank_;
     banks_.resize(banks);
+    views_.resize(banks);
+    floors_.resize(std::size_t{channel_.numRanks()} * groups);
     for (std::uint32_t r = 0; r < channel_.numRanks(); ++r) {
         for (std::uint32_t b = 0; b < banksPerRank_; ++b) {
             BankState &bs = banks_[flatBank(r, b)];
             bs.rank = r;
             bs.bank = b;
             bs.dram = &channel_.bank(r, b);
+            const std::uint32_t key = r * groups + channel_.groupOf(b);
+            views_[flatBank(r, b)].groupKey = key;
+            floors_[key].rank = r;
+            floors_[key].group = channel_.groupOf(b);
         }
     }
     sets_.assign(banks);
@@ -42,18 +49,11 @@ MemController::MemController(Channel &channel,
 void
 MemController::syncWithChannel()
 {
-    for (std::size_t slot = 0; slot < kCachedCommands; ++slot)
-        sets_.clear(kLive + slot);
     for (std::size_t b = 0; b < banks_.size(); ++b) {
-        BankState &bs = banks_[b];
-        bs.openRow = bs.dram->openRow();
-        if (bs.openRow != Bank::kNoRow)
-            sets_.set(kOpen, b);
-        else
-            sets_.reset(kOpen, b);
-        sets_.set(kStale, b);
-        sets_.set(kStale + 1, b);
+        mirrorBank(b);
+        rowChanged(b);
     }
+    closeDeadline_ = kMaxTick;
     seenCommands_ = channel_.commandsIssued();
 }
 
@@ -75,11 +75,16 @@ void
 MemController::enqueue(Request *req, Tick now)
 {
     req->arrivedAt = now;
+    const QueueEntry entry{
+        req, req->coord.row, req->addr, req->availableAt,
+        static_cast<std::uint32_t>(
+            flatBank(req->coord.rank, req->coord.bank)),
+        req->isWrite};
     if (!req->isWrite) {
         // Read-around-write forwarding: a read that matches a queued
         // write is satisfied from the write queue.
-        for (const Request *w : writeQ_) {
-            if (w->addr == req->addr) {
+        for (const QueueEntry &w : writeQ_) {
+            if (w.addr == req->addr) {
                 ++stats_.forwardedReads;
                 req->completedAt =
                     now + clk_.dramToTicks(cfg_.forwardLatencyCycles);
@@ -87,10 +92,10 @@ MemController::enqueue(Request *req, Tick now)
                 return;
             }
         }
-        readQ_.push_back(req);
+        readQ_.push_back(entry);
         stats_.readQueueLen.update(now, static_cast<double>(readQ_.size()));
     } else {
-        writeQ_.push_back(req);
+        writeQ_.push_back(entry);
         stats_.writeQueueLen.update(now,
                                     static_cast<double>(writeQ_.size()));
     }
@@ -105,8 +110,8 @@ MemController::noteHead(std::size_t b, Request *req)
 {
     const int kind = req->isWrite ? 1 : 0;
     BankState &bs = banks_[b];
-    const bool hit =
-        bs.openRow != Bank::kNoRow && req->coord.row == bs.openRow;
+    // A queued row is never kNoRow, so a match means an open-row hit.
+    const bool hit = req->coord.row == views_[b].openRow;
     Request *&head = hit ? bs.hit[kind] : bs.other[kind];
     if (!head || olderThan(*req, *head))
         head = req;
@@ -129,6 +134,8 @@ MemController::linkIntoBank(Request *req)
         latestGate_ = req->availableAt;
     if (!sets_.test(kStale + kind, b))
         noteHead(b, req);
+    if (kindActive(kind))
+        recheckClosure(b);
 }
 
 void
@@ -145,6 +152,8 @@ MemController::unlinkFromBank(Request *req)
     if (!bs.first[kind])
         sets_.reset(kQueued + kind, b);
     sets_.set(kStale + kind, b);
+    if (kindActive(kind))
+        recheckClosure(b);
 }
 
 void
@@ -162,26 +171,55 @@ static_assert(static_cast<int>(DramCommandType::Activate) == 0 &&
                   static_cast<int>(DramCommandType::Read) == 1 &&
                   static_cast<int>(DramCommandType::Write) == 2 &&
                   static_cast<int>(DramCommandType::Precharge) == 3,
-              "legality-cache slots are indexed by command type");
+              "gates, floors and nextCommand() index by command type");
 
-void
-MemController::fillLegal(std::size_t b, DramCommandType cmd)
+Channel::CommandFloors
+MemController::fillFloors(const GroupFloors &g) const
 {
-    BankState &bs = banks_[b];
-    bs.legal[static_cast<std::size_t>(cmd)] = channel_.nextLegalAt(
-        DramCommand{cmd, bs.rank, bs.bank, bs.openRow, 0}, Tick{});
-    sets_.set(kLive + static_cast<std::size_t>(cmd), b);
+    Channel::CommandFloors f = channel_.sharedFloors(g.rank, g.group);
+    const Tick bus = channel_.cmdBusFreeAt();
+    for (Tick &t : f)
+        t = std::max(t, bus);
+    return f;
 }
 
-std::optional<Tick>
-MemController::cachedLegalAt(std::uint32_t rank, std::uint32_t bank,
-                             DramCommandType cmd, Tick now) const
+Tick
+MemController::composedLegalAt(std::uint32_t rank, std::uint32_t bank,
+                               DramCommandType cmd, Tick now) const
 {
-    const auto slot = static_cast<std::size_t>(cmd);
-    const std::size_t b = flatBank(rank, bank);
-    if (slot >= kCachedCommands || !sets_.test(kLive + slot, b))
-        return std::nullopt;
-    return std::max(banks_[b].legal[slot], legalFloor(now));
+    const BankView &v = views_[flatBank(rank, bank)];
+    const bool open = v.openRow != Bank::kNoRow;
+    const auto c = static_cast<std::size_t>(cmd);
+    if (c >= kBankCommands || open == (cmd == DramCommandType::Activate))
+        return kMaxTick;
+    return std::max(
+        std::max(v.gate[c], fillFloors(floors_[v.groupKey])[c]), now);
+}
+
+void
+MemController::mirrorBank(std::size_t b)
+{
+    BankView &v = views_[b];
+    const Bank &bank = *banks_[b].dram;
+    v.openRow = bank.openRow();
+    for (std::size_t c = 0; c < kBankCommands; ++c)
+        v.gate[c] = bank.allowedAt(static_cast<DramCommandType>(c));
+}
+
+void
+MemController::rowChanged(std::size_t b)
+{
+    // A new open row reclassifies the bank's requests and reopens its
+    // closure decision; a closed bank has none.
+    if (views_[b].openRow != Bank::kNoRow) {
+        sets_.set(kOpen, b);
+        sets_.set(kCloseCheck, b);
+    } else {
+        sets_.reset(kOpen, b);
+        sets_.reset(kCloseCheck, b);
+    }
+    sets_.set(kStale, b);
+    sets_.set(kStale + 1, b);
 }
 
 IssueResult
@@ -189,52 +227,27 @@ MemController::issueCommand(const DramCommand &cmd, Tick now)
 {
     const IssueResult res = channel_.issue(cmd, now);
     const std::size_t b = flatBank(cmd.rank, cmd.bank);
-    const auto live = [](DramCommandType t) {
-        return kLive + static_cast<std::size_t>(t);
-    };
-    const auto dropBank = [this, b] {
-        for (std::size_t slot = 0; slot < kCachedCommands; ++slot)
-            sets_.reset(kLive + slot, b);
-    };
-    // tRRD_S/L, tFAW and refresh blocking: ACT legality is rank-wide.
-    const auto dropRankActivates = [this, &cmd, &live] {
+    // A command moves its own bank's gates; an all-bank refresh moves
+    // every ACT gate of its rank.
+    if (cmd.type == DramCommandType::Refresh &&
+        !channel_.perBankRefresh()) {
         const std::size_t first = flatBank(cmd.rank, 0);
         for (std::size_t i = first; i < first + banksPerRank_; ++i)
-            sets_.reset(live(DramCommandType::Activate), i);
-    };
-    // A new open row reclassifies the bank's requests.
-    const auto rowChanged = [this, b](std::uint64_t row) {
-        banks_[b].openRow = row;
-        if (row != Bank::kNoRow)
-            sets_.set(kOpen, b);
-        else
-            sets_.reset(kOpen, b);
-        sets_.set(kStale, b);
-        sets_.set(kStale + 1, b);
-    };
+            mirrorBank(i);
+    } else {
+        mirrorBank(b);
+    }
     switch (cmd.type) {
       case DramCommandType::Activate:
-        dropBank();
-        dropRankActivates();
-        rowChanged(cmd.row);
-        break;
       case DramCommandType::Precharge:
-        dropBank();
-        rowChanged(Bank::kNoRow);
+        rowChanged(b);
         break;
       case DramCommandType::Read:
       case DramCommandType::Write:
-        // tCCD_S/L, tRTW, tWTR, the data bus and tCS: CAS legality is
-        // channel-wide.
-        dropBank();
-        sets_.clear(live(DramCommandType::Read));
-        sets_.clear(live(DramCommandType::Write));
+        // The bank's access count and last access moved.
+        sets_.set(kCloseCheck, b);
         break;
       case DramCommandType::Refresh:
-        if (channel_.perBankRefresh())
-            dropBank();
-        else
-            dropRankActivates();
         break;
     }
     seenCommands_ = channel_.commandsIssued();
@@ -263,6 +276,7 @@ MemController::deliverResponses(Tick now)
 void
 MemController::updateDrainMode(Tick now)
 {
+    const bool wasDraining = drainingWrites_;
     if (!readQ_.empty())
         lastReadPendingAt_ = now;
     const bool readsLongIdle =
@@ -286,6 +300,10 @@ MemController::updateDrainMode(Tick now)
     }
     if (writeQ_.empty())
         drainingWrites_ = false;
+    // A drain flip swaps the active pool, and with it every open
+    // bank's pending hit/conflict flags.
+    if (drainingWrites_ != wasDraining && !scheduler_->unifiedQueues())
+        sets_.copy(kCloseCheck, kOpen);
 }
 
 std::optional<DramCommand>
@@ -342,22 +360,6 @@ MemController::activeKinds() const
 }
 
 void
-MemController::addRequest(std::size_t b, Request *req, Tick floor,
-                          Tick now)
-{
-    const std::uint64_t openRow = banks_[b].openRow;
-    DramCommandType cmd = DramCommandType::Precharge;
-    if (openRow == Bank::kNoRow)
-        cmd = DramCommandType::Activate;
-    else if (openRow == req->coord.row)
-        cmd = req->isWrite ? DramCommandType::Write : DramCommandType::Read;
-    // A backend-imposed earliest-service tick (a remap or tier
-    // migration in flight over this request's slot) delays whichever
-    // command the request needs next. Zero for most requests.
-    addCandidate(b, req, cmd, req->availableAt, floor, now);
-}
-
-void
 MemController::collectCandidates(Tick now)
 {
     if (channel_.commandsIssued() == candsCommands_ &&
@@ -375,51 +377,82 @@ MemController::collectCandidates(Tick now)
     candsCommands_ = channel_.commandsIssued();
     candsQueueChanges_ = queueChanges_;
     candsDraining_ = drainingWrites_;
-    cands_.clear();
-    const Tick floor = legalFloor(now);
+    floorsEpoch_ = candsCommands_ + 1;
     const auto [firstKind, endKind] = activeKinds();
-    if (scheduler_->choosesBankHeads()) {
-        const bool gates = latestGate_ > now;
-        for (int k = firstKind; k < endKind; ++k) {
-            sets_.visitUntil(kQueued + k, [&](std::size_t b) {
-                const BankState &h = freshHeads(b, k);
-                if (gates && h.gatedUntil[k] > now) {
-                    // A gate splits the bank's groups: offer everyone.
-                    for (Request *r = h.first[k]; r; r = r->bankNext)
-                        addRequest(b, r, floor, now);
-                    return false;
-                }
-                // Ungated: no member's availableAt is past now, and the
-                // heads' commands follow from the bank state alone.
-                if (h.hit[k]) {
-                    addCandidate(b, h.hit[k],
-                                 k ? DramCommandType::Write
-                                   : DramCommandType::Read,
-                                 Tick{}, floor, now);
-                }
-                if (h.other[k]) {
-                    addCandidate(b, h.other[k],
-                                 sets_.test(kOpen, b)
-                                     ? DramCommandType::Precharge
-                                     : DramCommandType::Activate,
-                                 Tick{}, floor, now);
-                }
-                return false;
-            });
-        }
+    if (!scheduler_->choosesBankHeads()) {
+        collectRequests(firstKind, endKind, now);
         return;
     }
+    cands_.clear();
+    const bool gates = latestGate_ > now;
     for (int k = firstKind; k < endKind; ++k) {
-        for (Request *req : k ? writeQ_ : readQ_)
-            addRequest(flatBank(req->coord.rank, req->coord.bank), req,
-                       floor, now);
+        sets_.visitUntil(kQueued + k, [&](std::size_t b) {
+            const BankState &h = freshHeads(b, k);
+            if (gates && h.gatedUntil[k] > now) {
+                // A gate splits the bank's groups: offer everyone.
+                for (Request *r = h.first[k]; r; r = r->bankNext) {
+                    addCandidate(b, r,
+                                 static_cast<DramCommandType>(nextCommand(
+                                     views_[b], r->coord.row, r->isWrite)),
+                                 r->availableAt, now);
+                }
+                return false;
+            }
+            // Ungated: no member's availableAt is past now, and the
+            // heads' commands follow from the bank state alone.
+            if (h.hit[k]) {
+                addCandidate(b, h.hit[k],
+                             k ? DramCommandType::Write
+                               : DramCommandType::Read,
+                             Tick{}, now);
+            }
+            if (h.other[k]) {
+                addCandidate(b, h.other[k],
+                             sets_.test(kOpen, b)
+                                 ? DramCommandType::Precharge
+                                 : DramCommandType::Activate,
+                             Tick{}, now);
+            }
+            return false;
+        });
     }
 }
 
 void
-MemController::removeFromQueue(std::vector<Request *> &q, Request *req)
+MemController::collectRequests(int firstKind, int endKind, Tick now)
 {
-    auto it = std::find(q.begin(), q.end(), req);
+    std::size_t n = 0;
+    for (int k = firstKind; k < endKind; ++k)
+        n += (k ? writeQ_ : readQ_).size();
+    cands_.resize(n);
+    Candidate *out = cands_.data();
+    for (int k = firstKind; k < endKind; ++k) {
+        for (const QueueEntry &e : k ? writeQ_ : readQ_) {
+            const BankView &v = views_[e.bank];
+            const std::size_t c = nextCommand(v, e.row, e.isWrite);
+            // A backend-imposed earliest-service tick (a remap or tier
+            // migration in flight over this request's slot) delays
+            // whichever command the request needs next. Zero for most
+            // requests.
+            const Tick legal =
+                std::max(std::max(v.gate[c], floorsFor(v)[c]),
+                         std::max(e.availableAt, now));
+            out->req = e.req;
+            out->cmd = static_cast<DramCommandType>(c);
+            out->isRowHit = e.row == v.openRow;
+            out->legalAt = legal;
+            out->issuableNow = legal <= now;
+            ++out;
+        }
+    }
+}
+
+void
+MemController::removeFromQueue(std::vector<QueueEntry> &q, Request *req)
+{
+    auto it = std::find_if(q.begin(), q.end(), [req](const QueueEntry &e) {
+        return e.req == req;
+    });
     mc_assert(it != q.end(), "request not in its queue");
     q.erase(it);
 }
@@ -509,13 +542,31 @@ MemController::tryPolicyPrecharge(Tick now, Tick *nextCloseEvent)
         if (nextCloseEvent && t < *nextCloseEvent)
             *nextCloseEvent = t;
     };
+    if (now >= closeDeadline_) {
+        // Some cached "keep open" may have reached its deadline:
+        // re-ask those banks, and bound the rest again.
+        closeDeadline_ = kMaxTick;
+        sets_.visitUntil(kOpen, [&](std::size_t b) {
+            const Tick due = banks_[b].closeDeadline;
+            if (sets_.test(kCloseCheck, b))
+                return false;
+            if (due <= now)
+                sets_.set(kCloseCheck, b);
+            else if (due < closeDeadline_)
+                closeDeadline_ = due;
+            return false;
+        });
+    }
+    // Every open bank outside kCloseCheck keeps its cached "keep open"
+    // until closeDeadline_ (exact under PagePolicy's contract), so the
+    // lowest-index bank to close is among the ones re-asked here.
     const std::pair<int, int> kinds = activeKinds();
-    return sets_.visitUntil(kOpen, [&](std::size_t b) {
-        const BankState &bs = banks_[b];
+    const bool issued = sets_.visitUntil(kCloseCheck, [&](std::size_t b) {
+        BankState &bs = banks_[b];
         PageQuery q;
         q.rank = bs.rank;
         q.bank = bs.bank;
-        q.openRow = bs.openRow;
+        q.openRow = views_[b].openRow;
         q.accessesThisActivation = bs.dram->accessesThisActivation();
         q.now = now;
         q.lastAccessAt = bs.dram->lastAccessAt();
@@ -527,12 +578,16 @@ MemController::tryPolicyPrecharge(Tick now, Tick *nextCloseEvent)
             q.pendingConflict |= heads.other[k] != nullptr;
         }
         if (!pagePolicy_->shouldClose(q)) {
-            consider(pagePolicy_->nextCloseEventAt(q));
+            bs.closeDeadline = pagePolicy_->nextCloseEventAt(q);
+            sets_.reset(kCloseCheck, b);
+            if (bs.closeDeadline < closeDeadline_)
+                closeDeadline_ = bs.closeDeadline;
             return false;
         }
-        const Tick legal =
-            std::max(unclampedLegalAt(b, DramCommandType::Precharge),
-                     legalFloor(now));
+        const Tick legal = std::max(
+            views_[b].gate[static_cast<std::size_t>(
+                DramCommandType::Precharge)],
+            legalFloor(now));
         if (legal > now) {
             consider(legal);
             return false;
@@ -542,6 +597,9 @@ MemController::tryPolicyPrecharge(Tick now, Tick *nextCloseEvent)
         issueCommand(DramCommand::precharge(bs.rank, bs.bank), now);
         return true;
     });
+    if (!issued)
+        consider(closeDeadline_);
+    return issued;
 }
 
 Tick

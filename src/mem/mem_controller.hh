@@ -79,21 +79,31 @@ struct MemControllerStats
 /**
  * Memory controller for one channel.
  *
- * Per-tick work is incremental. Besides the pool-ordered read and
- * write queues (the order per-request schedulers see), every queued
- * request sits in its bank's arrival-ordered list, and each bank keeps
- * the oldest request of each (bank, next command) group, recomputed
- * only after a request enters or leaves the bank or its open row
- * changes. Legality is cached per (bank, ACT/RD/WR/PRE) as the
- * channel's unclamped nextLegalAt(), dropped along the channel's
- * constraint scopes when a command issues (the bank; the rank's ACTs
- * on ACT and all-bank REF; every RD/WR on RD and WR), and clamped to
- * the command bus and the current tick at use. Schedulers that declare
- * Scheduler::choosesBankHeads() get those group heads as candidates,
- * at most two per bank; the others get one candidate per pooled
- * request. The same bank state answers the page policy's pending
- * hit/conflict queries. While no command issues, no request enters or
- * leaves and the drain mode holds, the candidate set is kept and only
+ * Per-tick work is incremental. The read and write queues hold
+ * controller-owned entries in pool order (the order per-request
+ * schedulers see) that carry what a candidate needs, so building one
+ * never dereferences the Request. Every queued request also sits in
+ * its bank's arrival-ordered list, and each bank keeps the oldest
+ * request of each (bank, next command) group, recomputed only after a
+ * request enters or leaves the bank or its open row changes.
+ *
+ * Legality is composed from two parts, the way Channel::nextLegalAt()
+ * composes it: the bank's own gate for the command (Bank::allowedAt,
+ * copied into a packed per-bank view after every command that moves
+ * it), and the command's shared floor for the bank's (rank, bank
+ * group), clamped to the command bus and the current tick. Floors are
+ * computed lazily, once for each (rank, group) a candidate needs
+ * until the next command issues.
+ *
+ * Schedulers that declare Scheduler::choosesBankHeads() get the group
+ * heads as candidates, at most two per bank; the others get one
+ * candidate per pooled request, whose next command follows from the
+ * bank state by arithmetic. The same bank state answers the page
+ * policy's pending hit/conflict queries, and each open bank's closure
+ * decision is cached until its row, its accesses, its active queued
+ * requests, the drain mode or the policy's deadline change (see
+ * PagePolicy). While no command issues, no request enters or leaves
+ * and the drain mode holds, the candidate set is kept and only
  * re-clamped to the current tick.
  */
 class MemController
@@ -150,32 +160,35 @@ class MemController
     void resetStats(Tick now);
 
     /**
-     * Test hook: the cached legal tick of @p cmd (ACT, RD, WR or PRE;
-     * RD/WR to the open row) to (@p rank, @p bank), clamped the way
-     * tick(@p now) uses it, or nullopt when that entry is not live. A
-     * live entry equals channel().nextLegalAt(cmd, now).
+     * Test hook: the legal tick tick(@p now) would give @p cmd (ACT,
+     * RD, WR or PRE; RD/WR to the open row) on (@p rank, @p bank),
+     * composed from the bank's gate and its (rank, group) shared floor
+     * the way a candidate rebuild composes it, or kMaxTick when the
+     * bank's state rules the command out. Equals
+     * channel().nextLegalAt(cmd, now).
      */
-    std::optional<Tick> cachedLegalAt(std::uint32_t rank,
-                                      std::uint32_t bank,
-                                      DramCommandType cmd, Tick now) const;
+    Tick composedLegalAt(std::uint32_t rank, std::uint32_t bank,
+                         DramCommandType cmd, Tick now) const;
 
   private:
-    /** Legality-cache slots, indexed by DramCommandType (ACT, RD, WR,
-     *  PRE; refresh is not cached). */
-    static constexpr std::size_t kCachedCommands = 4;
+    /** Commands with a bank gate and a shared floor, indexed by
+     *  DramCommandType: ACT, RD, WR, PRE. */
+    static constexpr std::size_t kBankCommands = 4;
 
     /**
      * Bank-indexed bit sets over flat rank-major bank indices (any
      * bank count), all in one allocation: which banks queue reads or
      * writes, whose group heads are stale, which are open, and which
-     * legality entries are live.
+     * open banks need their closure decision evaluated.
      */
     enum BankSetId : std::size_t {
         kQueued = 0, ///< + queue kind (0 reads, 1 writes).
         kStale = 2,  ///< + queue kind: group heads need a recompute.
         kOpen = 4,
-        kLive = 5, ///< + DramCommandType (ACT, RD, WR, PRE).
-        kNumBankSets = kLive + kCachedCommands,
+        /** Open banks whose cached closure decision is stale or was
+         *  "close" (re-asked every pass until the PRE issues). */
+        kCloseCheck = 5,
+        kNumBankSets = 6,
     };
     class BankSets
     {
@@ -201,11 +214,12 @@ class MemController
         {
             bits_[index(s, b >> 6)] &= ~bit(b);
         }
+        /** Set @p dst to the members of @p src. */
         void
-        clear(std::size_t s)
+        copy(std::size_t dst, std::size_t src)
         {
             for (std::size_t w = 0; w < words_; ++w)
-                bits_[index(s, w)] = 0;
+                bits_[index(dst, w)] = bits_[index(src, w)];
         }
 
         /** Call @p f on each member of set @p s in index order until it
@@ -248,19 +262,54 @@ class MemController
          *  (its kStale bit). */
         Request *hit[2] = {};
         Request *other[2] = {};
-        /** Unclamped nextLegalAt() per cached command; live where the
-         *  matching kLive bit is set. */
-        Tick legal[kCachedCommands];
         /** [kind] Queued requests in arrival order: an intrusive list
          *  through Request::bankPrev/bankNext. */
         Request *first[2] = {};
         Request *last[2] = {};
         Tick gatedUntil[2]; ///< [kind] Latest member availableAt.
-        std::uint64_t openRow = Bank::kNoRow; ///< Mirrors the channel.
+        /** The policy's nextCloseEventAt() for its cached "keep open"
+         *  answer: re-ask once now reaches it. */
+        Tick closeDeadline;
         /** The channel's bank (its banks never move once built). */
         const Bank *dram = nullptr;
         std::uint32_t rank = 0;
         std::uint32_t bank = 0;
+    };
+
+    /**
+     * What a candidate rebuild reads of one bank, packed apart from
+     * BankState so a rebuild touches few cache lines: the bank's open
+     * row and gates (Bank::allowedAt), copied from the channel's Bank
+     * after every command that moves them, and its (rank, group)
+     * floor index.
+     */
+    struct BankView
+    {
+        std::uint64_t openRow = Bank::kNoRow;
+        Tick gate[kBankCommands];
+        std::uint32_t groupKey = 0;
+    };
+
+    /** A queued request as the per-request rebuild and read
+     *  forwarding read it; fixed from enqueue until service. */
+    struct QueueEntry
+    {
+        Request *req;
+        std::uint64_t row;
+        Addr addr;
+        Tick availableAt;
+        std::uint32_t bank; ///< Flat rank-major bank index.
+        bool isWrite;
+    };
+
+    /** Shared floors of one (rank, bank group), at least the command
+     *  bus's free tick; valid while epoch matches floorsEpoch_. */
+    struct GroupFloors
+    {
+        Channel::CommandFloors at;
+        std::uint64_t epoch = 0;
+        std::uint32_t rank = 0;
+        std::uint32_t group = 0;
     };
 
     std::size_t
@@ -289,27 +338,65 @@ class MemController
     /** Queue kinds (0 reads, 1 writes) of the active pool: [first,
      *  second). */
     std::pair<int, int> activeKinds() const;
+    /** True when queue @p kind (0 reads, 1 writes) is in the active
+     *  pool. */
+    bool
+    kindActive(int kind) const
+    {
+        const auto [first, end] = activeKinds();
+        return kind >= first && kind < end;
+    }
     /** Fill cands_: bank heads, or one per pooled request. */
     void collectCandidates(Tick now);
+    /** Fill cands_ with one candidate per request of the active
+     *  pool, in pool order. */
+    void collectRequests(int firstKind, int endKind, Tick now);
+    /** Bank @p v's (rank, group) floors (see fillFloors()), computed
+     *  on first use after a command issued. */
+    const Channel::CommandFloors &
+    floorsFor(const BankView &v)
+    {
+        GroupFloors &f = floors_[v.groupKey];
+        if (f.epoch != floorsEpoch_) {
+            f.at = fillFloors(f);
+            f.epoch = floorsEpoch_;
+        }
+        return f.at;
+    }
+    /** The channel's sharedFloors() for @p f's (rank, group), each at
+     *  least the command bus's free tick. Both move only when a
+     *  command issues. */
+    Channel::CommandFloors fillFloors(const GroupFloors &f) const;
+    /** The next command of a request for @p row at bank @p v, as an
+     *  index without a branch: ACT 0, RD 1, WR 2, PRE 3 is
+     *  open*3 - hit*(2 - isWrite). A queued row is never kNoRow, so
+     *  a hit implies an open bank. */
+    static std::size_t
+    nextCommand(const BankView &v, std::uint64_t row, bool isWrite)
+    {
+        const std::size_t open = v.openRow != Bank::kNoRow;
+        const std::size_t hit = row == v.openRow;
+        return open * 3 - hit * (2 - std::size_t{isWrite});
+    }
     /** Append a candidate: @p req's next command @p cmd to flat bank
-     *  @p b, legal no earlier than @p gate nor @p floor (legalFloor()). */
+     *  @p b, legal no earlier than @p gate nor @p now. */
     void
     addCandidate(std::size_t b, Request *req, DramCommandType cmd,
-                 Tick gate, Tick floor, Tick now)
+                 Tick gate, Tick now)
     {
-        Candidate &c = cands_.emplace_back();
-        c.req = req;
-        c.cmd = cmd;
-        c.isRowHit =
+        const BankView &v = views_[b];
+        const auto c = static_cast<std::size_t>(cmd);
+        Candidate &cand = cands_.emplace_back();
+        cand.req = req;
+        cand.cmd = cmd;
+        cand.isRowHit =
             cmd == DramCommandType::Read || cmd == DramCommandType::Write;
-        c.legalAt =
-            std::max(std::max(unclampedLegalAt(b, cmd), floor), gate);
+        cand.legalAt = std::max(std::max(v.gate[c], floorsFor(v)[c]),
+                                std::max(gate, now));
         // Clamped to now, so legality now is equivalent to canIssue()
         // (test_event_kernel cross-checks the two).
-        c.issuableNow = c.legalAt <= now;
+        cand.issuableNow = cand.legalAt <= now;
     }
-    /** addCandidate() with the command and gate read off @p req. */
-    void addRequest(std::size_t b, Request *req, Tick floor, Tick now);
     bool issueCandidate(const Candidate &cand, Tick now);
     /**
      * Issue a page-policy precharge if one is wanted and legal.
@@ -321,30 +408,31 @@ class MemController
     void serviceCas(Request *req, Tick now, Tick dataReadyAt);
     void recordPrecharge(std::uint32_t rank, std::uint32_t bank,
                          std::uint64_t row, std::uint32_t accesses);
-    void removeFromQueue(std::vector<Request *> &q, Request *req);
+    void removeFromQueue(std::vector<QueueEntry> &q, Request *req);
 
-    /** Issue @p cmd and drop the state it invalidates: the target
-     *  bank's legality entries and heads, every ACT entry of the rank
-     *  (ACT, all-bank REF), every RD/WR entry (RD, WR). */
+    /** Issue @p cmd and update what it changes: the target bank's
+     *  open row (ACT, PRE) and its closure decision (ACT, RD, WR). */
     IssueResult issueCommand(const DramCommand &cmd, Tick now);
-    /** Cached unclamped legal tick of @p cmd to flat bank @p b (RD/WR:
-     *  to its open row); legal at max(it, legalFloor(now)). */
-    Tick
-    unclampedLegalAt(std::size_t b, DramCommandType cmd)
-    {
-        const auto slot = static_cast<std::size_t>(cmd);
-        if (!sets_.test(kLive + slot, b))
-            fillLegal(b, cmd);
-        return banks_[b].legal[slot];
-    }
-    void fillLegal(std::size_t b, DramCommandType cmd);
-    /** The clamp applied to a cached entry at use: no command issues
-     *  before the command bus frees or before now. Exact because the
-     *  bus-free tick only grows. */
+    /** The clamp applied to every legal tick at use: no command
+     *  issues before the command bus frees or before now. Exact
+     *  because the bus-free tick only grows. */
     Tick
     legalFloor(Tick now) const
     {
         return std::max(channel_.cmdBusFreeAt(), now);
+    }
+    /** Copy flat bank @p b's open row and gates from the channel
+     *  into its BankView. */
+    void mirrorBank(std::size_t b);
+    /** Flat bank @p b's open row changed: reclassify its requests. */
+    void rowChanged(std::size_t b);
+    /** Re-ask the page policy about bank @p b at the next pass (when
+     *  it is open). */
+    void
+    recheckClosure(std::size_t b)
+    {
+        if (sets_.test(kOpen, b))
+            sets_.set(kCloseCheck, b);
     }
     /** Bank @p b's group heads for queue @p kind, recomputed first
      *  if stale. */
@@ -371,8 +459,8 @@ class MemController
     std::uint32_t numCores_;
     MemControllerConfig cfg_;
 
-    std::vector<Request *> readQ_;
-    std::vector<Request *> writeQ_;
+    std::vector<QueueEntry> readQ_;
+    std::vector<QueueEntry> writeQ_;
     std::vector<Candidate> cands_; ///< Reused each cycle.
     /** Requests entered or left the queues (enqueue, service). */
     std::uint64_t queueChanges_ = 0;
@@ -385,7 +473,15 @@ class MemController
 
     std::uint32_t banksPerRank_;
     std::vector<BankState> banks_; ///< Flat rank-major, ranks x banks.
+    std::vector<BankView> views_;  ///< Flat rank-major, as banks_.
     BankSets sets_;
+    std::vector<GroupFloors> floors_; ///< Flat (rank, group).
+    /** The channel's command count plus one at the current rebuild:
+     *  floors filled under another count are stale. */
+    std::uint64_t floorsEpoch_ = 0;
+    /** No earlier than the closeDeadline of any open bank outside
+     *  kCloseCheck: before it, every cached "keep open" holds. */
+    Tick closeDeadline_ = kMaxTick;
     /** Latest availableAt ever enqueued: while now is past it no bank
      *  is gated, so the per-bank gates need no look. */
     Tick latestGate_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/log.hh"
+
 namespace mcsim {
 
 namespace {
@@ -36,6 +38,12 @@ RlScheduler::RlScheduler(RlConfig cfg, const ClockDomains &clk)
       tables_(static_cast<std::size_t>(cfg.numTables) * cfg.tableSize,
               0.0f)
 {
+    // tableHash() reduces with a mask, not a division.
+    if (cfg_.tableSize == 0 ||
+        (cfg_.tableSize & (cfg_.tableSize - 1)) != 0) {
+        mc_fatal("RL tableSize must be a power of two, got ",
+                 cfg_.tableSize);
+    }
 }
 
 std::uint64_t
@@ -60,7 +68,8 @@ std::uint32_t
 RlScheduler::tableHash(std::uint64_t features, std::uint32_t table) const
 {
     return static_cast<std::uint32_t>(
-        mix64(features ^ (0xabcd0123ULL * (table + 1))) % cfg_.tableSize);
+        mix64(features ^ (0xabcd0123ULL * (table + 1))) &
+        (cfg_.tableSize - 1));
 }
 
 double

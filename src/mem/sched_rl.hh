@@ -31,7 +31,7 @@ namespace mcsim {
 struct RlConfig
 {
     std::uint32_t numTables = 32;
-    std::uint32_t tableSize = 256;
+    std::uint32_t tableSize = 256; ///< Entries per table; a power of two.
     double alpha = 0.1;    ///< Learning rate.
     double gamma = 0.95;   ///< Discount rate.
     double epsilon = 0.05; ///< Random action probability.

@@ -124,23 +124,6 @@ class Scheduler
      * since the gate splits its groups.
      */
     virtual bool choosesBankHeads() const { return false; }
-
-  protected:
-    /** Oldest issuable candidate; shared tie-break helper. -1 if none. */
-    static int
-    oldestIssuable(const std::vector<Candidate> &cands)
-    {
-        int best = -1;
-        for (std::size_t i = 0; i < cands.size(); ++i) {
-            if (!cands[i].issuableNow)
-                continue;
-            if (best < 0 ||
-                cands[i].req->arrivedAt < cands[best].req->arrivedAt) {
-                best = static_cast<int>(i);
-            }
-        }
-        return best;
-    }
 };
 
 } // namespace mcsim

@@ -123,6 +123,13 @@ class ExperimentRunner
      */
     static std::uint64_t fastDivisor();
 
+    /** The config a point runs: windows divided by CLOUDMC_FAST, and
+     *  @p kernelThreads (when nonzero: the sweep's share of the thread
+     *  budget, see planThreadSplit) in place of cfg.kernelThreads.
+     *  A tool that builds a System itself runs this config too. */
+    static SimConfig runConfig(const SimConfig &cfg,
+                               std::uint32_t kernelThreads = 0);
+
     /**
      * How one thread budget is shared between the two parallelism
      * layers (see README "Thread-budget sharing"). Their product never
@@ -202,11 +209,6 @@ class ExperimentRunner
      * holds mu_.
      */
     void appendToCache(const std::string &key, const MetricSet &m);
-    /** The config a point runs: windows divided by CLOUDMC_FAST, and
-     *  @p kernelThreads (when nonzero: the sweep's share of the thread
-     *  budget, see planThreadSplit) in place of cfg.kernelThreads. */
-    static SimConfig runConfig(const SimConfig &cfg,
-                               std::uint32_t kernelThreads = 0);
     static MetricSet simulatePoint(const Point &p,
                                    std::uint32_t kernelThreads);
 

@@ -285,6 +285,35 @@ TEST(MemController, CloseAdaptiveClosesIdleRows)
     EXPECT_FALSE(h.channel.bank(0, 0).isOpen());
 }
 
+TEST(MemController, DrainFlipReasksPagePolicy)
+{
+    // Close-adaptive keeps an accessed row open while a read hit is
+    // pending. Once the write drain starts, reads leave the active
+    // pool, so the row has no pending hit and must close at the next
+    // idle cycle although nothing else happens to its bank: the drain
+    // flip alone re-asks the policy about every open bank.
+    Harness h(SchedulerKind::FrFcfs, PagePolicyKind::CloseAdaptive, false);
+    std::vector<Tick> bank0Pre;
+    h.channel.setCommandHook([&bank0Pre](const DramCommand &c, Tick at) {
+        if (c.type == DramCommandType::Precharge && c.bank == 0)
+            bank0Pre.push_back(at);
+    });
+    h.mc.enqueue(h.makeReq(addrOf(5, 0, 0), false), h.now);
+    Request *held = h.makeReq(addrOf(5, 0, 1), false);
+    held->availableAt = h.now + kBaselineClocks.dramToTicks(100000);
+    h.mc.enqueue(held, h.now);
+    h.run(200);
+    ASSERT_EQ(h.completed.size(), 1u); // The ungated read.
+    ASSERT_TRUE(h.channel.bank(0, 0).isOpen()); // Held hit pending.
+    ASSERT_TRUE(bank0Pre.empty());
+    for (std::uint32_t col = 0; col < 24; ++col)
+        h.mc.enqueue(h.makeReq(addrOf(0, 1, col), true), h.now);
+    h.run(300);
+    ASSERT_FALSE(bank0Pre.empty());
+    EXPECT_LT(bank0Pre.front(), held->availableAt);
+    EXPECT_FALSE(h.channel.bank(0, 0).isOpen());
+}
+
 TEST(MemController, OpenPolicyKeepsIdleRowsOpen)
 {
     Harness h(SchedulerKind::FrFcfs, PagePolicyKind::Open, false);
@@ -522,12 +551,14 @@ struct DeviceRig
 
     /**
      * Enqueue a random request at DRAM cycle @p cycle, tick @p now
-     * (queue depth permitting). Every 3000 cycles traffic pauses for
-     * 1000 so the queues drain and all-bank refreshes, which wait for
-     * every bank of a rank to close, get to issue.
+     * (queue depth permitting), one in @p gateOneIn of them gated.
+     * Every 3000 cycles traffic pauses for 1000 so the queues drain
+     * and all-bank refreshes, which wait for every bank of a rank to
+     * close, get to issue.
      */
     void
-    maybeEnqueue(Pcg32 &rng, int cycle, Tick now)
+    maybeEnqueue(Pcg32 &rng, int cycle, Tick now,
+                 std::uint32_t gateOneIn = 8)
     {
         if (cycle % 3000 >= 2000 || rng.below(3) != 0 ||
             mc.readQueueLen() + mc.writeQueueLen() >= 40) {
@@ -543,7 +574,7 @@ struct DeviceRig
         req->coord.column = rng.below(64);
         req->addr = (((req->coord.row * 64 + req->coord.bank) * 4 +
                       req->coord.rank) * 64 + req->coord.column) * 64;
-        if (rng.below(8) == 0)
+        if (rng.below(gateOneIn) == 0)
             req->availableAt = now + clk.dramToTicks(rng.below(120));
         storage.push_back(std::move(req));
         mc.enqueue(storage.back().get(), now);
@@ -602,14 +633,133 @@ class EveryRequest : public Scheduler
     std::unique_ptr<Scheduler> inner_;
 };
 
+/**
+ * A scheduler wrapper that checks every candidate it is offered
+ * against the channel before delegating: the next command and row-hit
+ * flag the bank state gives, legalAt = max(nextLegalAt, availableAt),
+ * and issuableNow = canIssue() with the gate open. For a per-request
+ * scheduler it also checks that the whole active pool is offered, in
+ * pool order. Forwards choosesBankHeads(), so both candidate paths are
+ * checked. Records the first mismatch.
+ */
+class CheckedCandidates : public Scheduler
+{
+  public:
+    explicit CheckedCandidates(std::unique_ptr<Scheduler> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    const Channel *channel = nullptr;
+    std::string mismatch; ///< First mismatch, empty while none.
+    std::uint64_t offered = 0;
+    std::uint64_t blocked = 0; ///< legalAt past now.
+    std::uint64_t gated = 0;   ///< availableAt set legalAt.
+    std::uint64_t perCommand[4] = {};
+
+    const char *name() const override { return inner_->name(); }
+    int
+    choose(const std::vector<Candidate> &cands, Tick now,
+           const SchedulerContext &ctx) override
+    {
+        if (mismatch.empty())
+            mismatch = check(cands, now, ctx);
+        return inner_->choose(cands, now, ctx);
+    }
+    void onRequestArrived(const Request &r) override
+    {
+        inner_->onRequestArrived(r);
+    }
+    void onRequestServiced(const Request &r) override
+    {
+        inner_->onRequestServiced(r);
+    }
+    void tick(Tick now, const SchedulerContext &ctx) override
+    {
+        inner_->tick(now, ctx);
+    }
+    Tick nextEventAt(Tick now) const override
+    {
+        return inner_->nextEventAt(now);
+    }
+    bool unifiedQueues() const override { return inner_->unifiedQueues(); }
+    bool choosesBankHeads() const override
+    {
+        return inner_->choosesBankHeads();
+    }
+
+  private:
+    std::string
+    check(const std::vector<Candidate> &cands, Tick now,
+          const SchedulerContext &ctx)
+    {
+        if (!choosesBankHeads()) {
+            const std::size_t pool =
+                unifiedQueues() ? ctx.readQueueLen + ctx.writeQueueLen
+                : ctx.drainingWrites ? ctx.writeQueueLen
+                                     : ctx.readQueueLen;
+            if (cands.size() != pool) {
+                return "offered " + std::to_string(cands.size()) +
+                       " of a pool of " + std::to_string(pool);
+            }
+        }
+        for (std::size_t i = 0; i < cands.size(); ++i) {
+            const Candidate &c = cands[i];
+            const Request &r = *c.req;
+            if (!choosesBankHeads() && i > 0 &&
+                cands[i - 1].req->isWrite == r.isWrite &&
+                cands[i - 1].req->seq > r.seq) {
+                return "candidate " + std::to_string(i) +
+                       " out of pool order";
+            }
+            const Bank &bank = channel->bank(r.coord.rank, r.coord.bank);
+            DramCommandType cmd = DramCommandType::Precharge;
+            if (!bank.isOpen()) {
+                cmd = DramCommandType::Activate;
+            } else if (bank.openRow() == r.coord.row) {
+                cmd = r.isWrite ? DramCommandType::Write
+                                : DramCommandType::Read;
+            }
+            const DramCommand dc{cmd, r.coord.rank, r.coord.bank,
+                                 r.coord.row, r.coord.column};
+            const Tick legal = channel->nextLegalAt(dc, now);
+            const Tick expected = std::max(legal, r.availableAt);
+            const bool issuable =
+                channel->canIssue(dc, now) && r.availableAt <= now;
+            const bool hit = cmd == DramCommandType::Read ||
+                             cmd == DramCommandType::Write;
+            if (c.cmd != cmd || c.isRowHit != hit ||
+                c.legalAt != expected || c.issuableNow != issuable) {
+                return "request " + std::to_string(r.id) + " at tick " +
+                       std::to_string(now.count()) + ": offered " +
+                       dramCommandName(c.cmd) + " legal at " +
+                       std::to_string(c.legalAt.count()) +
+                       (c.issuableNow ? " (now)" : "") + ", expected " +
+                       dramCommandName(cmd) + " legal at " +
+                       std::to_string(expected.count()) +
+                       (issuable ? " (now)" : "");
+            }
+            ++offered;
+            ++perCommand[static_cast<int>(cmd)];
+            blocked += expected > now;
+            gated += r.availableAt > legal;
+        }
+        return {};
+    }
+
+    std::unique_ptr<Scheduler> inner_;
+};
+
 } // namespace
 
 TEST(MemController, LegalityCacheMatchesChannel)
 {
-    // After every tick, every live (bank, command) entry, clamped the
-    // way the controller uses it at the next cycle, must equal the
-    // channel's own nextLegalAt(). Covers the bank-head schedulers,
-    // per-request ones (RL with unified queues) and page closures.
+    // After every tick, every (rank, bank, command) legal tick the
+    // controller would compose at the next cycle (bank gate plus the
+    // (rank, group) shared floor, clamped to the command bus and now)
+    // must equal the channel's own nextLegalAt(). Covers the bank-head
+    // schedulers, per-request ones (RL with unified queues) and page
+    // closures; the counts show the states the check reached.
     const SchedulerKind scheds[] = {
         SchedulerKind::FrFcfs, SchedulerKind::Rl, SchedulerKind::ParBs};
     const PagePolicyKind policies[] = {PagePolicyKind::OpenAdaptive,
@@ -631,7 +781,9 @@ TEST(MemController, LegalityCacheMatchesChannel)
                                             clk, dev.timings),
                               policy);
                 Pcg32 rng(7, static_cast<std::uint64_t>(sched));
-                std::uint64_t live = 0;
+                std::uint64_t legal = 0;   // Entries the bank state allows.
+                std::uint64_t blocked = 0; // ... not legal at now yet.
+                std::uint64_t casBlocked = 0;
                 Tick now{};
                 // Long enough for all-bank refreshes (tREFI is 6240
                 // DDR3 cycles) as well as REFpb.
@@ -646,24 +798,79 @@ TEST(MemController, LegalityCacheMatchesChannel)
                             const std::uint64_t row =
                                 rig.channel.bank(r, b).openRow();
                             for (const DramCommandType t : types) {
-                                const auto cached =
-                                    rig.mc.cachedLegalAt(r, b, t, now);
-                                if (!cached)
-                                    continue;
-                                ++live;
-                                ASSERT_EQ(*cached,
+                                const Tick composed =
+                                    rig.mc.composedLegalAt(r, b, t, now);
+                                ASSERT_EQ(composed,
                                           rig.channel.nextLegalAt(
                                               DramCommand{t, r, b, row, 0},
                                               now))
                                     << dramCommandName(t) << " rank " << r
                                     << " bank " << b << " cycle " << cycle;
+                                if (composed == kMaxTick)
+                                    continue;
+                                ++legal;
+                                if (composed > now) {
+                                    ++blocked;
+                                    casBlocked +=
+                                        t == DramCommandType::Read ||
+                                        t == DramCommandType::Write;
+                                }
                             }
                         }
                     }
                 }
-                EXPECT_GT(live, 0u);
+                EXPECT_GT(legal, 0u);
+                EXPECT_GT(blocked, 0u);
+                EXPECT_GT(casBlocked, 0u);
                 EXPECT_GT(rig.done.size(), 100u);
                 EXPECT_GT(rig.channel.stats().refreshes, 0u);
+            }
+        }
+    }
+}
+
+TEST(MemController, CandidatesMatchBankState)
+{
+    // Every candidate offered to a scheduler, per request (PAR-BS,
+    // ATLAS, RL) or per bank head (FR-FCFS, FCFS_banks), carries the
+    // command, row-hit flag, legal tick and issuability the channel's
+    // bank state gives, with a fifth of the requests gated. Ticked
+    // every cycle, so candidates kept and re-clamped between rebuilds
+    // are checked too.
+    const SchedulerKind scheds[] = {
+        SchedulerKind::FrFcfs, SchedulerKind::FcfsBanks,
+        SchedulerKind::ParBs, SchedulerKind::Atlas, SchedulerKind::Rl};
+    const PagePolicyKind policies[] = {PagePolicyKind::OpenAdaptive,
+                                       PagePolicyKind::Close};
+    for (const char *device :
+         {"DDR3-1600", "DDR5-4800", "LPDDR3-1600", "HMC2-8GB"}) {
+        for (const SchedulerKind sched : scheds) {
+            for (const PagePolicyKind policy : policies) {
+                SCOPED_TRACE(std::string(device) + " / " +
+                             schedulerKindName(sched) + " / " +
+                             pagePolicyKindName(policy));
+                const DramDevice &dev = dramDeviceOrDie(device);
+                const ClockDomains clk = ClockDomains::fromMhz(
+                    kBaselineClocks.coreMhz, dev.busMhz);
+                auto checked = std::make_unique<CheckedCandidates>(
+                    makeScheduler(sched, 16, SchedulerParams{}, clk,
+                                  dev.timings));
+                CheckedCandidates &check = *checked;
+                DeviceRig rig(device, std::move(checked), policy);
+                check.channel = &rig.channel;
+                Pcg32 rng(13, static_cast<std::uint64_t>(sched));
+                Tick now{};
+                for (int cycle = 0; cycle < 14000; ++cycle) {
+                    rig.maybeEnqueue(rng, cycle, now, 5);
+                    rig.mc.tick(now);
+                    ASSERT_EQ(check.mismatch, "") << "cycle " << cycle;
+                    now += clk.dramToTicks(1);
+                }
+                EXPECT_GT(check.blocked, 0u);
+                EXPECT_GT(check.gated, 0u);
+                for (const std::uint64_t n : check.perCommand)
+                    EXPECT_GT(n, 0u);
+                EXPECT_GT(rig.done.size(), 100u);
             }
         }
     }

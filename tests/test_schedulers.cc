@@ -538,6 +538,24 @@ TEST(Rl, UsesUnifiedQueues)
     EXPECT_FALSE(f.unifiedQueues());
 }
 
+using RlDeathTest = ::testing::Test;
+
+TEST(RlDeathTest, RejectsNonPowerOfTwoTableSize)
+{
+    // The tile hash masks with tableSize - 1, so another size would
+    // leave entries unreachable; the constructor names the value.
+    RlConfig cfg;
+    cfg.tableSize = 200;
+    EXPECT_DEATH(RlScheduler{cfg},
+                 "RL tableSize must be a power of two, got 200");
+    cfg.tableSize = 0;
+    EXPECT_DEATH(RlScheduler{cfg},
+                 "RL tableSize must be a power of two, got 0");
+    cfg.tableSize = 128;
+    RlScheduler ok(cfg);
+    EXPECT_EQ(ok.qValue(0), 0.0);
+}
+
 // ------------------------------------------------------------------ FQM
 
 TEST(Fqm, EqualizesServiceAcrossCores)
