@@ -13,6 +13,7 @@ MemController::MemController(Channel &channel,
                              MemControllerConfig cfg)
     : channel_(channel), clk_(channel.clocks()),
       scheduler_(std::move(scheduler)),
+      unifiedQueues_(scheduler_ && scheduler_->unifiedQueues()),
       pagePolicy_(std::move(pagePolicy)), numCores_(numCores),
       cfg_(std::move(cfg))
 {
@@ -28,7 +29,6 @@ MemController::MemController(Channel &channel,
     const std::size_t banks =
         std::size_t{channel_.numRanks()} * banksPerRank_;
     banks_.resize(banks);
-    views_.resize(banks);
     floors_.resize(std::size_t{channel_.numRanks()} * groups);
     for (std::uint32_t r = 0; r < channel_.numRanks(); ++r) {
         for (std::uint32_t b = 0; b < banksPerRank_; ++b) {
@@ -36,10 +36,9 @@ MemController::MemController(Channel &channel,
             bs.rank = r;
             bs.bank = b;
             bs.dram = &channel_.bank(r, b);
-            const std::uint32_t key = r * groups + channel_.groupOf(b);
-            views_[flatBank(r, b)].groupKey = key;
-            floors_[key].rank = r;
-            floors_[key].group = channel_.groupOf(b);
+            bs.groupKey = r * groups + channel_.groupOf(b);
+            floors_[bs.groupKey].rank = r;
+            floors_[bs.groupKey].group = channel_.groupOf(b);
         }
     }
     sets_.assign(banks);
@@ -50,10 +49,8 @@ void
 MemController::syncWithChannel()
 {
     for (std::size_t b = 0; b < banks_.size(); ++b) {
-        mirrorBank(b);
-        rowChanged(b);
+        rowChanged(b, banks_[b].dram->openRow());
     }
-    closeDeadline_ = kMaxTick;
     seenCommands_ = channel_.commandsIssued();
 }
 
@@ -111,7 +108,7 @@ MemController::noteHead(std::size_t b, Request *req)
     const int kind = req->isWrite ? 1 : 0;
     BankState &bs = banks_[b];
     // A queued row is never kNoRow, so a match means an open-row hit.
-    const bool hit = req->coord.row == views_[b].openRow;
+    const bool hit = req->coord.row == bs.openRow;
     Request *&head = hit ? bs.hit[kind] : bs.other[kind];
     if (!head || olderThan(*req, *head))
         head = req;
@@ -134,8 +131,6 @@ MemController::linkIntoBank(Request *req)
         latestGate_ = req->availableAt;
     if (!sets_.test(kStale + kind, b))
         noteHead(b, req);
-    if (kindActive(kind))
-        recheckClosure(b);
 }
 
 void
@@ -152,8 +147,6 @@ MemController::unlinkFromBank(Request *req)
     if (!bs.first[kind])
         sets_.reset(kQueued + kind, b);
     sets_.set(kStale + kind, b);
-    if (kindActive(kind))
-        recheckClosure(b);
 }
 
 void
@@ -187,37 +180,25 @@ Tick
 MemController::composedLegalAt(std::uint32_t rank, std::uint32_t bank,
                                DramCommandType cmd, Tick now) const
 {
-    const BankView &v = views_[flatBank(rank, bank)];
-    const bool open = v.openRow != Bank::kNoRow;
+    const BankState &bs = banks_[flatBank(rank, bank)];
+    const bool open = bs.openRow != Bank::kNoRow;
     const auto c = static_cast<std::size_t>(cmd);
     if (c >= kBankCommands || open == (cmd == DramCommandType::Activate))
         return kMaxTick;
-    return std::max(
-        std::max(v.gate[c], fillFloors(floors_[v.groupKey])[c]), now);
+    return std::max(std::max(bs.dram->allowedAt(cmd),
+                             fillFloors(floors_[bs.groupKey])[c]),
+                    now);
 }
 
 void
-MemController::mirrorBank(std::size_t b)
+MemController::rowChanged(std::size_t b, std::uint64_t row)
 {
-    BankView &v = views_[b];
-    const Bank &bank = *banks_[b].dram;
-    v.openRow = bank.openRow();
-    for (std::size_t c = 0; c < kBankCommands; ++c)
-        v.gate[c] = bank.allowedAt(static_cast<DramCommandType>(c));
-}
-
-void
-MemController::rowChanged(std::size_t b)
-{
-    // A new open row reclassifies the bank's requests and reopens its
-    // closure decision; a closed bank has none.
-    if (views_[b].openRow != Bank::kNoRow) {
+    // A new open row reclassifies the bank's requests.
+    banks_[b].openRow = row;
+    if (row != Bank::kNoRow)
         sets_.set(kOpen, b);
-        sets_.set(kCloseCheck, b);
-    } else {
+    else
         sets_.reset(kOpen, b);
-        sets_.reset(kCloseCheck, b);
-    }
     sets_.set(kStale, b);
     sets_.set(kStale + 1, b);
 }
@@ -227,26 +208,15 @@ MemController::issueCommand(const DramCommand &cmd, Tick now)
 {
     const IssueResult res = channel_.issue(cmd, now);
     const std::size_t b = flatBank(cmd.rank, cmd.bank);
-    // A command moves its own bank's gates; an all-bank refresh moves
-    // every ACT gate of its rank.
-    if (cmd.type == DramCommandType::Refresh &&
-        !channel_.perBankRefresh()) {
-        const std::size_t first = flatBank(cmd.rank, 0);
-        for (std::size_t i = first; i < first + banksPerRank_; ++i)
-            mirrorBank(i);
-    } else {
-        mirrorBank(b);
-    }
     switch (cmd.type) {
       case DramCommandType::Activate:
+        rowChanged(b, cmd.row);
+        break;
       case DramCommandType::Precharge:
-        rowChanged(b);
+        rowChanged(b, Bank::kNoRow);
         break;
       case DramCommandType::Read:
       case DramCommandType::Write:
-        // The bank's access count and last access moved.
-        sets_.set(kCloseCheck, b);
-        break;
       case DramCommandType::Refresh:
         break;
     }
@@ -276,7 +246,6 @@ MemController::deliverResponses(Tick now)
 void
 MemController::updateDrainMode(Tick now)
 {
-    const bool wasDraining = drainingWrites_;
     if (!readQ_.empty())
         lastReadPendingAt_ = now;
     const bool readsLongIdle =
@@ -300,10 +269,6 @@ MemController::updateDrainMode(Tick now)
     }
     if (writeQ_.empty())
         drainingWrites_ = false;
-    // A drain flip swaps the active pool, and with it every open
-    // bank's pending hit/conflict flags.
-    if (drainingWrites_ != wasDraining && !scheduler_->unifiedQueues())
-        sets_.copy(kCloseCheck, kOpen);
 }
 
 std::optional<DramCommand>
@@ -354,7 +319,7 @@ MemController::activeKinds() const
     // Parked writes are not serviceable, so treating them as pending
     // conflicts would collapse open-adaptive into close-adaptive
     // whenever the write queue holds a few random writebacks.
-    if (scheduler_->unifiedQueues())
+    if (unifiedQueues_)
         return {0, 2};
     return drainingWrites_ ? std::pair{1, 2} : std::pair{0, 1};
 }
@@ -393,7 +358,7 @@ MemController::collectCandidates(Tick now)
                 for (Request *r = h.first[k]; r; r = r->bankNext) {
                     addCandidate(b, r,
                                  static_cast<DramCommandType>(nextCommand(
-                                     views_[b], r->coord.row, r->isWrite)),
+                                     h, r->coord.row, r->isWrite)),
                                  r->availableAt, now);
                 }
                 return false;
@@ -428,18 +393,19 @@ MemController::collectRequests(int firstKind, int endKind, Tick now)
     Candidate *out = cands_.data();
     for (int k = firstKind; k < endKind; ++k) {
         for (const QueueEntry &e : k ? writeQ_ : readQ_) {
-            const BankView &v = views_[e.bank];
-            const std::size_t c = nextCommand(v, e.row, e.isWrite);
+            const BankState &bs = banks_[e.bank];
+            const std::size_t c = nextCommand(bs, e.row, e.isWrite);
+            const auto cmd = static_cast<DramCommandType>(c);
             // A backend-imposed earliest-service tick (a remap or tier
             // migration in flight over this request's slot) delays
             // whichever command the request needs next. Zero for most
             // requests.
             const Tick legal =
-                std::max(std::max(v.gate[c], floorsFor(v)[c]),
+                std::max(std::max(bs.dram->allowedAt(cmd), floorsFor(bs)[c]),
                          std::max(e.availableAt, now));
             out->req = e.req;
-            out->cmd = static_cast<DramCommandType>(c);
-            out->isRowHit = e.row == v.openRow;
+            out->cmd = cmd;
+            out->isRowHit = e.row == bs.openRow;
             out->legalAt = legal;
             out->issuableNow = legal <= now;
             ++out;
@@ -542,31 +508,13 @@ MemController::tryPolicyPrecharge(Tick now, Tick *nextCloseEvent)
         if (nextCloseEvent && t < *nextCloseEvent)
             *nextCloseEvent = t;
     };
-    if (now >= closeDeadline_) {
-        // Some cached "keep open" may have reached its deadline:
-        // re-ask those banks, and bound the rest again.
-        closeDeadline_ = kMaxTick;
-        sets_.visitUntil(kOpen, [&](std::size_t b) {
-            const Tick due = banks_[b].closeDeadline;
-            if (sets_.test(kCloseCheck, b))
-                return false;
-            if (due <= now)
-                sets_.set(kCloseCheck, b);
-            else if (due < closeDeadline_)
-                closeDeadline_ = due;
-            return false;
-        });
-    }
-    // Every open bank outside kCloseCheck keeps its cached "keep open"
-    // until closeDeadline_ (exact under PagePolicy's contract), so the
-    // lowest-index bank to close is among the ones re-asked here.
     const std::pair<int, int> kinds = activeKinds();
-    const bool issued = sets_.visitUntil(kCloseCheck, [&](std::size_t b) {
-        BankState &bs = banks_[b];
+    return sets_.visitUntil(kOpen, [&](std::size_t b) {
+        const BankState &bs = banks_[b];
         PageQuery q;
         q.rank = bs.rank;
         q.bank = bs.bank;
-        q.openRow = views_[b].openRow;
+        q.openRow = bs.openRow;
         q.accessesThisActivation = bs.dram->accessesThisActivation();
         q.now = now;
         q.lastAccessAt = bs.dram->lastAccessAt();
@@ -578,16 +526,11 @@ MemController::tryPolicyPrecharge(Tick now, Tick *nextCloseEvent)
             q.pendingConflict |= heads.other[k] != nullptr;
         }
         if (!pagePolicy_->shouldClose(q)) {
-            bs.closeDeadline = pagePolicy_->nextCloseEventAt(q);
-            sets_.reset(kCloseCheck, b);
-            if (bs.closeDeadline < closeDeadline_)
-                closeDeadline_ = bs.closeDeadline;
+            consider(pagePolicy_->nextCloseEventAt(q));
             return false;
         }
-        const Tick legal = std::max(
-            views_[b].gate[static_cast<std::size_t>(
-                DramCommandType::Precharge)],
-            legalFloor(now));
+        const Tick legal =
+            std::max(bs.dram->preAllowedAt(), legalFloor(now));
         if (legal > now) {
             consider(legal);
             return false;
@@ -597,9 +540,6 @@ MemController::tryPolicyPrecharge(Tick now, Tick *nextCloseEvent)
         issueCommand(DramCommand::precharge(bs.rank, bs.bank), now);
         return true;
     });
-    if (!issued)
-        consider(closeDeadline_);
-    return issued;
 }
 
 Tick

@@ -88,10 +88,9 @@ struct MemControllerStats
  * request enters or leaves the bank or its open row changes.
  *
  * Legality is composed from two parts, the way Channel::nextLegalAt()
- * composes it: the bank's own gate for the command (Bank::allowedAt,
- * copied into a packed per-bank view after every command that moves
- * it), and the command's shared floor for the bank's (rank, bank
- * group), clamped to the command bus and the current tick. Floors are
+ * composes it: the bank's own gate for the command (Bank::allowedAt),
+ * and the command's shared floor for the bank's (rank, bank group),
+ * clamped to the command bus and the current tick. Floors are
  * computed lazily, once for each (rank, group) a candidate needs
  * until the next command issues.
  *
@@ -99,12 +98,9 @@ struct MemControllerStats
  * heads as candidates, at most two per bank; the others get one
  * candidate per pooled request, whose next command follows from the
  * bank state by arithmetic. The same bank state answers the page
- * policy's pending hit/conflict queries, and each open bank's closure
- * decision is cached until its row, its accesses, its active queued
- * requests, the drain mode or the policy's deadline change (see
- * PagePolicy). While no command issues, no request enters or leaves
- * and the drain mode holds, the candidate set is kept and only
- * re-clamped to the current tick.
+ * policy's pending hit/conflict queries. While no command issues, no
+ * request enters or leaves and the drain mode holds, the candidate
+ * set is kept and only re-clamped to the current tick.
  */
 class MemController
 {
@@ -178,17 +174,13 @@ class MemController
     /**
      * Bank-indexed bit sets over flat rank-major bank indices (any
      * bank count), all in one allocation: which banks queue reads or
-     * writes, whose group heads are stale, which are open, and which
-     * open banks need their closure decision evaluated.
+     * writes, whose group heads are stale, and which are open.
      */
     enum BankSetId : std::size_t {
         kQueued = 0, ///< + queue kind (0 reads, 1 writes).
         kStale = 2,  ///< + queue kind: group heads need a recompute.
         kOpen = 4,
-        /** Open banks whose cached closure decision is stale or was
-         *  "close" (re-asked every pass until the PRE issues). */
-        kCloseCheck = 5,
-        kNumBankSets = 6,
+        kNumBankSets = 5,
     };
     class BankSets
     {
@@ -214,14 +206,6 @@ class MemController
         {
             bits_[index(s, b >> 6)] &= ~bit(b);
         }
-        /** Set @p dst to the members of @p src. */
-        void
-        copy(std::size_t dst, std::size_t src)
-        {
-            for (std::size_t w = 0; w < words_; ++w)
-                bits_[index(dst, w)] = bits_[index(src, w)];
-        }
-
         /** Call @p f on each member of set @p s in index order until it
          *  returns true; returns whether one did. */
         template <typename F>
@@ -267,27 +251,13 @@ class MemController
         Request *first[2] = {};
         Request *last[2] = {};
         Tick gatedUntil[2]; ///< [kind] Latest member availableAt.
-        /** The policy's nextCloseEventAt() for its cached "keep open"
-         *  answer: re-ask once now reaches it. */
-        Tick closeDeadline;
-        /** The channel's bank (its banks never move once built). */
+        std::uint64_t openRow = Bank::kNoRow; ///< Mirrors the channel.
+        /** The channel's bank (its banks never move once built); its
+         *  gates are read from here. */
         const Bank *dram = nullptr;
         std::uint32_t rank = 0;
         std::uint32_t bank = 0;
-    };
-
-    /**
-     * What a candidate rebuild reads of one bank, packed apart from
-     * BankState so a rebuild touches few cache lines: the bank's open
-     * row and gates (Bank::allowedAt), copied from the channel's Bank
-     * after every command that moves them, and its (rank, group)
-     * floor index.
-     */
-    struct BankView
-    {
-        std::uint64_t openRow = Bank::kNoRow;
-        Tick gate[kBankCommands];
-        std::uint32_t groupKey = 0;
+        std::uint32_t groupKey = 0; ///< Index into floors_.
     };
 
     /** A queued request as the per-request rebuild and read
@@ -338,25 +308,17 @@ class MemController
     /** Queue kinds (0 reads, 1 writes) of the active pool: [first,
      *  second). */
     std::pair<int, int> activeKinds() const;
-    /** True when queue @p kind (0 reads, 1 writes) is in the active
-     *  pool. */
-    bool
-    kindActive(int kind) const
-    {
-        const auto [first, end] = activeKinds();
-        return kind >= first && kind < end;
-    }
     /** Fill cands_: bank heads, or one per pooled request. */
     void collectCandidates(Tick now);
     /** Fill cands_ with one candidate per request of the active
      *  pool, in pool order. */
     void collectRequests(int firstKind, int endKind, Tick now);
-    /** Bank @p v's (rank, group) floors (see fillFloors()), computed
-     *  on first use after a command issued. */
+    /** Bank @p bs's (rank, group) floors (see fillFloors()),
+     *  computed on first use after a command issued. */
     const Channel::CommandFloors &
-    floorsFor(const BankView &v)
+    floorsFor(const BankState &bs)
     {
-        GroupFloors &f = floors_[v.groupKey];
+        GroupFloors &f = floors_[bs.groupKey];
         if (f.epoch != floorsEpoch_) {
             f.at = fillFloors(f);
             f.epoch = floorsEpoch_;
@@ -367,15 +329,15 @@ class MemController
      *  least the command bus's free tick. Both move only when a
      *  command issues. */
     Channel::CommandFloors fillFloors(const GroupFloors &f) const;
-    /** The next command of a request for @p row at bank @p v, as an
+    /** The next command of a request for @p row at bank @p bs, as an
      *  index without a branch: ACT 0, RD 1, WR 2, PRE 3 is
      *  open*3 - hit*(2 - isWrite). A queued row is never kNoRow, so
      *  a hit implies an open bank. */
     static std::size_t
-    nextCommand(const BankView &v, std::uint64_t row, bool isWrite)
+    nextCommand(const BankState &bs, std::uint64_t row, bool isWrite)
     {
-        const std::size_t open = v.openRow != Bank::kNoRow;
-        const std::size_t hit = row == v.openRow;
+        const std::size_t open = bs.openRow != Bank::kNoRow;
+        const std::size_t hit = row == bs.openRow;
         return open * 3 - hit * (2 - std::size_t{isWrite});
     }
     /** Append a candidate: @p req's next command @p cmd to flat bank
@@ -384,15 +346,16 @@ class MemController
     addCandidate(std::size_t b, Request *req, DramCommandType cmd,
                  Tick gate, Tick now)
     {
-        const BankView &v = views_[b];
+        const BankState &bs = banks_[b];
         const auto c = static_cast<std::size_t>(cmd);
         Candidate &cand = cands_.emplace_back();
         cand.req = req;
         cand.cmd = cmd;
         cand.isRowHit =
             cmd == DramCommandType::Read || cmd == DramCommandType::Write;
-        cand.legalAt = std::max(std::max(v.gate[c], floorsFor(v)[c]),
-                                std::max(gate, now));
+        cand.legalAt =
+            std::max(std::max(bs.dram->allowedAt(cmd), floorsFor(bs)[c]),
+                     std::max(gate, now));
         // Clamped to now, so legality now is equivalent to canIssue()
         // (test_event_kernel cross-checks the two).
         cand.issuableNow = cand.legalAt <= now;
@@ -410,8 +373,8 @@ class MemController
                          std::uint64_t row, std::uint32_t accesses);
     void removeFromQueue(std::vector<QueueEntry> &q, Request *req);
 
-    /** Issue @p cmd and update what it changes: the target bank's
-     *  open row (ACT, PRE) and its closure decision (ACT, RD, WR). */
+    /** Issue @p cmd and update the target bank's open row (ACT,
+     *  PRE). */
     IssueResult issueCommand(const DramCommand &cmd, Tick now);
     /** The clamp applied to every legal tick at use: no command
      *  issues before the command bus frees or before now. Exact
@@ -421,19 +384,9 @@ class MemController
     {
         return std::max(channel_.cmdBusFreeAt(), now);
     }
-    /** Copy flat bank @p b's open row and gates from the channel
-     *  into its BankView. */
-    void mirrorBank(std::size_t b);
-    /** Flat bank @p b's open row changed: reclassify its requests. */
-    void rowChanged(std::size_t b);
-    /** Re-ask the page policy about bank @p b at the next pass (when
-     *  it is open). */
-    void
-    recheckClosure(std::size_t b)
-    {
-        if (sets_.test(kOpen, b))
-            sets_.set(kCloseCheck, b);
-    }
+    /** Flat bank @p b's open row became @p row: reclassify its
+     *  requests. */
+    void rowChanged(std::size_t b, std::uint64_t row);
     /** Bank @p b's group heads for queue @p kind, recomputed first
      *  if stale. */
     const BankState &
@@ -455,6 +408,8 @@ class MemController
     Channel &channel_;
     ClockDomains clk_; ///< Mirrored from the channel at construction.
     std::unique_ptr<Scheduler> scheduler_;
+    /** scheduler_->unifiedQueues(), fixed per scheduler type. */
+    const bool unifiedQueues_;
     std::unique_ptr<PagePolicy> pagePolicy_;
     std::uint32_t numCores_;
     MemControllerConfig cfg_;
@@ -473,15 +428,11 @@ class MemController
 
     std::uint32_t banksPerRank_;
     std::vector<BankState> banks_; ///< Flat rank-major, ranks x banks.
-    std::vector<BankView> views_;  ///< Flat rank-major, as banks_.
     BankSets sets_;
     std::vector<GroupFloors> floors_; ///< Flat (rank, group).
     /** The channel's command count plus one at the current rebuild:
      *  floors filled under another count are stale. */
     std::uint64_t floorsEpoch_ = 0;
-    /** No earlier than the closeDeadline of any open bank outside
-     *  kCloseCheck: before it, every cached "keep open" holds. */
-    Tick closeDeadline_ = kMaxTick;
     /** Latest availableAt ever enqueued: while now is past it no bank
      *  is gated, so the per-bank gates need no look. */
     Tick latestGate_;

@@ -39,17 +39,7 @@ class PagePolicy
     /** Short policy name used in result tables. */
     virtual const char *name() const = 0;
 
-    /**
-     * Should the controller issue an idle PRE to this bank now?
-     *
-     * Purity contract: the answer has no side effects and depends
-     * only on @p q and on per-bank state of (q.rank, q.bank) that
-     * changes in onActivate()/onPrecharge() for that bank. The
-     * controller relies on it, with nextCloseEventAt(), to cache each
-     * open bank's "keep open" answer and ask again only when the
-     * bank's row, its accesses or its active queued requests change,
-     * the drain mode flips, or the deadline arrives.
-     */
+    /** Should the controller issue an idle PRE to this bank now? */
     virtual bool shouldClose(const PageQuery &q) = 0;
 
     /**

@@ -291,7 +291,7 @@ TEST(MemController, DrainFlipReasksPagePolicy)
     // pending. Once the write drain starts, reads leave the active
     // pool, so the row has no pending hit and must close at the next
     // idle cycle although nothing else happens to its bank: the drain
-    // flip alone re-asks the policy about every open bank.
+    // flip alone changes the policy's answer.
     Harness h(SchedulerKind::FrFcfs, PagePolicyKind::CloseAdaptive, false);
     std::vector<Tick> bank0Pre;
     h.channel.setCommandHook([&bank0Pre](const DramCommand &c, Tick at) {
@@ -757,9 +757,12 @@ TEST(MemController, LegalityCacheMatchesChannel)
     // After every tick, every (rank, bank, command) legal tick the
     // controller would compose at the next cycle (bank gate plus the
     // (rank, group) shared floor, clamped to the command bus and now)
-    // must equal the channel's own nextLegalAt(). Covers the bank-head
-    // schedulers, per-request ones (RL with unified queues) and page
-    // closures; the counts show the states the check reached.
+    // must equal the channel's own nextLegalAt(), and must be exactly
+    // the first tick canIssue() accepts: issuable now when it is at or
+    // before now, else issuable at it and not one tick earlier. Covers
+    // the bank-head schedulers, per-request ones (RL with unified
+    // queues) and page closures; the counts show the states the check
+    // reached.
     const SchedulerKind scheds[] = {
         SchedulerKind::FrFcfs, SchedulerKind::Rl, SchedulerKind::ParBs};
     const PagePolicyKind policies[] = {PagePolicyKind::OpenAdaptive,
@@ -798,14 +801,22 @@ TEST(MemController, LegalityCacheMatchesChannel)
                             const std::uint64_t row =
                                 rig.channel.bank(r, b).openRow();
                             for (const DramCommandType t : types) {
+                                const DramCommand dc{t, r, b, row, 0};
                                 const Tick composed =
                                     rig.mc.composedLegalAt(r, b, t, now);
+                                // Streamed only on a failure.
+                                const auto where = [&] {
+                                    return std::string(dramCommandName(t)) +
+                                           " rank " + std::to_string(r) +
+                                           " bank " + std::to_string(b) +
+                                           " cycle " + std::to_string(cycle);
+                                };
                                 ASSERT_EQ(composed,
-                                          rig.channel.nextLegalAt(
-                                              DramCommand{t, r, b, row, 0},
-                                              now))
-                                    << dramCommandName(t) << " rank " << r
-                                    << " bank " << b << " cycle " << cycle;
+                                          rig.channel.nextLegalAt(dc, now))
+                                    << where();
+                                ASSERT_EQ(rig.channel.canIssue(dc, now),
+                                          composed <= now)
+                                    << where();
                                 if (composed == kMaxTick)
                                     continue;
                                 ++legal;
@@ -814,6 +825,12 @@ TEST(MemController, LegalityCacheMatchesChannel)
                                     casBlocked +=
                                         t == DramCommandType::Read ||
                                         t == DramCommandType::Write;
+                                    ASSERT_TRUE(
+                                        rig.channel.canIssue(dc, composed))
+                                        << where();
+                                    ASSERT_FALSE(rig.channel.canIssue(
+                                        dc, composed - TickSpan{1}))
+                                        << where();
                                 }
                             }
                         }
