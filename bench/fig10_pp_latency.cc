@@ -1,8 +1,10 @@
 /**
  * @file
  * Figure 10: Average memory access latency normalized to OAPM.
- * Regenerates the paper's figure rows; see EXPERIMENTS.md for the
- * paper-vs-measured comparison. Flags: --csv, --fast N.
+ * Regenerates the paper's figure rows; README's "Figure / table
+ * binaries" table lists every such binary, and example_characterize
+ * prints the paper's targets next to the measured values. Flags:
+ * --csv, --fast D, --threads N.
  */
 
 #include "bench_common.hh"

@@ -5,10 +5,10 @@
  * schedulers, stepped every DRAM cycle with its read queue held at a
  * fixed depth (0, 4 or 32 queued reads, random banks and rows). Depth
  * 0 prices the fixed per-tick cost; the slope to 4 and 32 prices each
- * queued request. FR-FCFS and FCFS_banks take the bank-head path,
- * PAR-BS, ATLAS and RL one candidate per queued request. Serviced
- * reads are replaced inside the timed loop, so the figures include
- * one enqueue per serviced read.
+ * queued request: every scheduler is offered one candidate per queued
+ * request, so the slope is the candidate build plus the scheduler's
+ * own scan. Serviced reads are replaced inside the timed loop, so the
+ * figures include one enqueue per serviced read.
  *
  *   ./micro_controller --benchmark_filter='sched:4/'   # RL only
  */

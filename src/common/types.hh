@@ -393,6 +393,15 @@ inline constexpr ClockDomains kBaselineClocks{};
 /** Sentinel core id used for non-core requesters (DMA/IO engines). */
 constexpr CoreId kIoCoreId = 0xFFFFu;
 
+/** The per-core table slot of @p core: IO engines and any core id at
+ *  or past @p numCores share the one slot after the cores,
+ *  @p numCores. */
+constexpr std::uint32_t
+coreSlot(CoreId core, std::uint32_t numCores)
+{
+    return core >= numCores ? numCores : core;
+}
+
 } // namespace mcsim
 
 #endif // CLOUDMC_COMMON_TYPES_HH

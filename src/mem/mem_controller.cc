@@ -41,7 +41,7 @@ MemController::MemController(Channel &channel,
             floors_[bs.groupKey].group = channel_.groupOf(b);
         }
     }
-    sets_.assign(banks);
+    openBanks_.assign((banks + 63) / 64, 0);
     syncWithChannel();
 }
 
@@ -97,67 +97,8 @@ MemController::enqueue(Request *req, Tick now)
                                     static_cast<double>(writeQ_.size()));
     }
     req->seq = ++nextSeq_;
-    linkIntoBank(req);
     ++queueChanges_;
     scheduler_->onRequestArrived(*req);
-}
-
-void
-MemController::noteHead(std::size_t b, Request *req)
-{
-    const int kind = req->isWrite ? 1 : 0;
-    BankState &bs = banks_[b];
-    // A queued row is never kNoRow, so a match means an open-row hit.
-    const bool hit = req->coord.row == bs.openRow;
-    Request *&head = hit ? bs.hit[kind] : bs.other[kind];
-    if (!head || olderThan(*req, *head))
-        head = req;
-    if (req->availableAt > bs.gatedUntil[kind])
-        bs.gatedUntil[kind] = req->availableAt;
-}
-
-void
-MemController::linkIntoBank(Request *req)
-{
-    const std::size_t b = flatBank(req->coord.rank, req->coord.bank);
-    const int kind = req->isWrite ? 1 : 0;
-    BankState &bs = banks_[b];
-    req->bankPrev = bs.last[kind];
-    req->bankNext = nullptr;
-    (bs.last[kind] ? bs.last[kind]->bankNext : bs.first[kind]) = req;
-    bs.last[kind] = req;
-    sets_.set(kQueued + kind, b);
-    if (req->availableAt > latestGate_)
-        latestGate_ = req->availableAt;
-    if (!sets_.test(kStale + kind, b))
-        noteHead(b, req);
-}
-
-void
-MemController::unlinkFromBank(Request *req)
-{
-    const std::size_t b = flatBank(req->coord.rank, req->coord.bank);
-    const int kind = req->isWrite ? 1 : 0;
-    BankState &bs = banks_[b];
-    (req->bankPrev ? req->bankPrev->bankNext : bs.first[kind]) =
-        req->bankNext;
-    (req->bankNext ? req->bankNext->bankPrev : bs.last[kind]) =
-        req->bankPrev;
-    req->bankPrev = req->bankNext = nullptr;
-    if (!bs.first[kind])
-        sets_.reset(kQueued + kind, b);
-    sets_.set(kStale + kind, b);
-}
-
-void
-MemController::recomputeHeads(std::size_t b, int kind)
-{
-    BankState &bs = banks_[b];
-    bs.hit[kind] = bs.other[kind] = nullptr;
-    bs.gatedUntil[kind] = Tick{};
-    for (Request *r = bs.first[kind]; r; r = r->bankNext)
-        noteHead(b, r);
-    sets_.reset(kStale + kind, b);
 }
 
 static_assert(static_cast<int>(DramCommandType::Activate) == 0 &&
@@ -193,14 +134,12 @@ MemController::composedLegalAt(std::uint32_t rank, std::uint32_t bank,
 void
 MemController::rowChanged(std::size_t b, std::uint64_t row)
 {
-    // A new open row reclassifies the bank's requests.
     banks_[b].openRow = row;
+    const std::uint64_t bit = std::uint64_t{1} << (b & 63);
     if (row != Bank::kNoRow)
-        sets_.set(kOpen, b);
+        openBanks_[b >> 6] |= bit;
     else
-        sets_.reset(kOpen, b);
-    sets_.set(kStale, b);
-    sets_.set(kStale + 1, b);
+        openBanks_[b >> 6] &= ~bit;
 }
 
 IssueResult
@@ -234,8 +173,7 @@ MemController::deliverResponses(Tick now)
         ++stats_.readLatencySamples;
         stats_.readLatencyTicks += latency;
         stats_.readLatencyHist.sample(clk_.ticksToCore(latency).count());
-        const auto slot =
-            req->core >= numCores_ ? numCores_ : req->core;
+        const std::uint32_t slot = coreSlot(req->core, numCores_);
         ++stats_.perCoreReads[slot];
         stats_.perCoreLatencyTicks[slot] += latency;
         if (onComplete_)
@@ -331,8 +269,9 @@ MemController::collectCandidates(Tick now)
         queueChanges_ == candsQueueChanges_ &&
         drainingWrites_ == candsDraining_) {
         // Only time has passed since the last build: the same requests
-        // need the same commands at the same unclamped legal ticks, and
-        // a gate open then is still open. Re-clamp to now.
+        // need the same commands at the same unclamped legal ticks, a
+        // gate open then is still open, and the pending masks hold.
+        // Re-clamp to now.
         for (Candidate &c : cands_) {
             c.legalAt = std::max(c.legalAt, now);
             c.issuableNow = c.legalAt <= now;
@@ -343,44 +282,10 @@ MemController::collectCandidates(Tick now)
     candsQueueChanges_ = queueChanges_;
     candsDraining_ = drainingWrites_;
     floorsEpoch_ = candsCommands_ + 1;
+    for (BankState &bs : banks_)
+        bs.pending = 0;
     const auto [firstKind, endKind] = activeKinds();
-    if (!scheduler_->choosesBankHeads()) {
-        collectRequests(firstKind, endKind, now);
-        return;
-    }
-    cands_.clear();
-    const bool gates = latestGate_ > now;
-    for (int k = firstKind; k < endKind; ++k) {
-        sets_.visitUntil(kQueued + k, [&](std::size_t b) {
-            const BankState &h = freshHeads(b, k);
-            if (gates && h.gatedUntil[k] > now) {
-                // A gate splits the bank's groups: offer everyone.
-                for (Request *r = h.first[k]; r; r = r->bankNext) {
-                    addCandidate(b, r,
-                                 static_cast<DramCommandType>(nextCommand(
-                                     h, r->coord.row, r->isWrite)),
-                                 r->availableAt, now);
-                }
-                return false;
-            }
-            // Ungated: no member's availableAt is past now, and the
-            // heads' commands follow from the bank state alone.
-            if (h.hit[k]) {
-                addCandidate(b, h.hit[k],
-                             k ? DramCommandType::Write
-                               : DramCommandType::Read,
-                             Tick{}, now);
-            }
-            if (h.other[k]) {
-                addCandidate(b, h.other[k],
-                             sets_.test(kOpen, b)
-                                 ? DramCommandType::Precharge
-                                 : DramCommandType::Activate,
-                             Tick{}, now);
-            }
-            return false;
-        });
-    }
+    collectRequests(firstKind, endKind, now);
 }
 
 void
@@ -393,7 +298,7 @@ MemController::collectRequests(int firstKind, int endKind, Tick now)
     Candidate *out = cands_.data();
     for (int k = firstKind; k < endKind; ++k) {
         for (const QueueEntry &e : k ? writeQ_ : readQ_) {
-            const BankState &bs = banks_[e.bank];
+            BankState &bs = banks_[e.bank];
             const std::size_t c = nextCommand(bs, e.row, e.isWrite);
             const auto cmd = static_cast<DramCommandType>(c);
             // A backend-imposed earliest-service tick (a remap or tier
@@ -403,9 +308,11 @@ MemController::collectRequests(int firstKind, int endKind, Tick now)
             const Tick legal =
                 std::max(std::max(bs.dram->allowedAt(cmd), floorsFor(bs)[c]),
                          std::max(e.availableAt, now));
+            const bool hit = e.row == bs.openRow;
+            bs.pending |= static_cast<std::uint8_t>(2 - hit);
             out->req = e.req;
             out->cmd = cmd;
-            out->isRowHit = e.row == bs.openRow;
+            out->isRowHit = hit;
             out->legalAt = legal;
             out->issuableNow = legal <= now;
             ++out;
@@ -439,7 +346,6 @@ MemController::serviceCas(Request *req, Tick now, Tick dataReadyAt)
     }
 
     scheduler_->onRequestServiced(*req);
-    unlinkFromBank(req);
     ++queueChanges_;
     if (req->isWrite) {
         removeFromQueue(writeQ_, req);
@@ -508,38 +414,37 @@ MemController::tryPolicyPrecharge(Tick now, Tick *nextCloseEvent)
         if (nextCloseEvent && t < *nextCloseEvent)
             *nextCloseEvent = t;
     };
-    const std::pair<int, int> kinds = activeKinds();
-    return sets_.visitUntil(kOpen, [&](std::size_t b) {
-        const BankState &bs = banks_[b];
-        PageQuery q;
-        q.rank = bs.rank;
-        q.bank = bs.bank;
-        q.openRow = bs.openRow;
-        q.accessesThisActivation = bs.dram->accessesThisActivation();
-        q.now = now;
-        q.lastAccessAt = bs.dram->lastAccessAt();
-        for (int k = kinds.first; k < kinds.second; ++k) {
-            if (!sets_.test(kQueued + k, b))
+    for (std::size_t w = 0; w < openBanks_.size(); ++w) {
+        for (std::uint64_t m = openBanks_[w]; m; m &= m - 1) {
+            const std::size_t b =
+                w * 64 + static_cast<std::size_t>(__builtin_ctzll(m));
+            const BankState &bs = banks_[b];
+            PageQuery q;
+            q.rank = bs.rank;
+            q.bank = bs.bank;
+            q.openRow = bs.openRow;
+            q.accessesThisActivation = bs.dram->accessesThisActivation();
+            q.pendingHit = (bs.pending & 1) != 0;
+            q.pendingConflict = (bs.pending & 2) != 0;
+            q.now = now;
+            q.lastAccessAt = bs.dram->lastAccessAt();
+            if (!pagePolicy_->shouldClose(q)) {
+                consider(pagePolicy_->nextCloseEventAt(q));
                 continue;
-            const BankState &heads = freshHeads(b, k);
-            q.pendingHit |= heads.hit[k] != nullptr;
-            q.pendingConflict |= heads.other[k] != nullptr;
+            }
+            const Tick legal =
+                std::max(bs.dram->preAllowedAt(), legalFloor(now));
+            if (legal > now) {
+                consider(legal);
+                continue;
+            }
+            recordPrecharge(bs.rank, bs.bank, q.openRow,
+                            q.accessesThisActivation);
+            issueCommand(DramCommand::precharge(bs.rank, bs.bank), now);
+            return true;
         }
-        if (!pagePolicy_->shouldClose(q)) {
-            consider(pagePolicy_->nextCloseEventAt(q));
-            return false;
-        }
-        const Tick legal =
-            std::max(bs.dram->preAllowedAt(), legalFloor(now));
-        if (legal > now) {
-            consider(legal);
-            return false;
-        }
-        recordPrecharge(bs.rank, bs.bank, q.openRow,
-                        q.accessesThisActivation);
-        issueCommand(DramCommand::precharge(bs.rank, bs.bank), now);
-        return true;
-    });
+    }
+    return false;
 }
 
 Tick
@@ -611,8 +516,7 @@ MemController::nextEventAt(Tick now, Tick policyCloseEvent)
     consider(channel_.nextRefreshDueAfter(now));
 
     // First tick any queued request's next command becomes legal —
-    // already computed by this cycle's collectCandidates() pass (each
-    // group head carries its whole group's legal tick).
+    // already computed by this cycle's collectCandidates() pass.
     for (const Candidate &c : cands_)
         consider(c.legalAt);
 

@@ -80,12 +80,11 @@ struct MemControllerStats
  * Memory controller for one channel.
  *
  * Per-tick work is incremental. The read and write queues hold
- * controller-owned entries in pool order (the order per-request
- * schedulers see) that carry what a candidate needs, so building one
- * never dereferences the Request. Every queued request also sits in
- * its bank's arrival-ordered list, and each bank keeps the oldest
- * request of each (bank, next command) group, recomputed only after a
- * request enters or leaves the bank or its open row changes.
+ * controller-owned entries in pool order that carry what a candidate
+ * needs, so building one never dereferences the Request. Every
+ * scheduler is offered one candidate per request of the active pool,
+ * in pool order, its next command computed from the bank state
+ * without a branch.
  *
  * Legality is composed from two parts, the way Channel::nextLegalAt()
  * composes it: the bank's own gate for the command (Bank::allowedAt),
@@ -94,13 +93,11 @@ struct MemControllerStats
  * computed lazily, once for each (rank, group) a candidate needs
  * until the next command issues.
  *
- * Schedulers that declare Scheduler::choosesBankHeads() get the group
- * heads as candidates, at most two per bank; the others get one
- * candidate per pooled request, whose next command follows from the
- * bank state by arithmetic. The same bank state answers the page
- * policy's pending hit/conflict queries. While no command issues, no
+ * The same pass fills each bank's pending hit/conflict mask, which
+ * answers the page policy's queries. While no command issues, no
  * request enters or leaves and the drain mode holds, the candidate
- * set is kept and only re-clamped to the current tick.
+ * set and the masks are kept and the candidates only re-clamped to
+ * the current tick.
  */
 class MemController
 {
@@ -171,86 +168,9 @@ class MemController
      *  DramCommandType: ACT, RD, WR, PRE. */
     static constexpr std::size_t kBankCommands = 4;
 
-    /**
-     * Bank-indexed bit sets over flat rank-major bank indices (any
-     * bank count), all in one allocation: which banks queue reads or
-     * writes, whose group heads are stale, and which are open.
-     */
-    enum BankSetId : std::size_t {
-        kQueued = 0, ///< + queue kind (0 reads, 1 writes).
-        kStale = 2,  ///< + queue kind: group heads need a recompute.
-        kOpen = 4,
-        kNumBankSets = 5,
-    };
-    class BankSets
-    {
-      public:
-        void
-        assign(std::size_t banks)
-        {
-            words_ = (banks + 63) / 64;
-            bits_.assign(words_ * kNumBankSets, 0);
-        }
-        bool
-        test(std::size_t s, std::size_t b) const
-        {
-            return bits_[index(s, b >> 6)] & bit(b);
-        }
-        void
-        set(std::size_t s, std::size_t b)
-        {
-            bits_[index(s, b >> 6)] |= bit(b);
-        }
-        void
-        reset(std::size_t s, std::size_t b)
-        {
-            bits_[index(s, b >> 6)] &= ~bit(b);
-        }
-        /** Call @p f on each member of set @p s in index order until it
-         *  returns true; returns whether one did. */
-        template <typename F>
-        bool
-        visitUntil(std::size_t s, F &&f) const
-        {
-            for (std::size_t w = 0; w < words_; ++w) {
-                for (std::uint64_t m = bits_[index(s, w)]; m; m &= m - 1) {
-                    if (f(w * 64 + static_cast<std::size_t>(
-                                       __builtin_ctzll(m)))) {
-                        return true;
-                    }
-                }
-            }
-            return false;
-        }
-
-      private:
-        static std::uint64_t bit(std::size_t b) { return 1ull << (b & 63); }
-        /** Word-major: the sets' words for one run of 64 banks sit
-         *  together. */
-        static std::size_t
-        index(std::size_t s, std::size_t w)
-        {
-            return w * kNumBankSets + s;
-        }
-        std::size_t words_ = 0;
-        std::vector<std::uint64_t> bits_;
-    };
-
     /** Per-bank controller state; one flat rank-major array. */
     struct BankState
     {
-        /** [kind] The oldest member of each (bank, next command)
-         *  group: the oldest open-row hit, and the oldest other
-         *  request (it needs ACT when the bank is closed, else PRE).
-         *  Recomputed lazily once the bank's list or open row changed
-         *  (its kStale bit). */
-        Request *hit[2] = {};
-        Request *other[2] = {};
-        /** [kind] Queued requests in arrival order: an intrusive list
-         *  through Request::bankPrev/bankNext. */
-        Request *first[2] = {};
-        Request *last[2] = {};
-        Tick gatedUntil[2]; ///< [kind] Latest member availableAt.
         std::uint64_t openRow = Bank::kNoRow; ///< Mirrors the channel.
         /** The channel's bank (its banks never move once built); its
          *  gates are read from here. */
@@ -258,10 +178,14 @@ class MemController
         std::uint32_t rank = 0;
         std::uint32_t bank = 0;
         std::uint32_t groupKey = 0; ///< Index into floors_.
+        /** What the active pool held for this bank at the last
+         *  candidate rebuild: bit 0 a request to the open row, bit 1 a
+         *  request to another row. */
+        std::uint8_t pending = 0;
     };
 
-    /** A queued request as the per-request rebuild and read
-     *  forwarding read it; fixed from enqueue until service. */
+    /** A queued request as the candidate rebuild and read forwarding
+     *  read it; fixed from enqueue until service. */
     struct QueueEntry
     {
         Request *req;
@@ -308,10 +232,13 @@ class MemController
     /** Queue kinds (0 reads, 1 writes) of the active pool: [first,
      *  second). */
     std::pair<int, int> activeKinds() const;
-    /** Fill cands_: bank heads, or one per pooled request. */
+    /** Bring cands_ and the banks' pending masks up to date for
+     *  @p now: rebuilt after a command issued, a request entered or
+     *  left, or the drain mode flipped, else re-clamped. */
     void collectCandidates(Tick now);
     /** Fill cands_ with one candidate per request of the active
-     *  pool, in pool order. */
+     *  pool, in pool order, and OR each into its bank's pending
+     *  mask. */
     void collectRequests(int firstKind, int endKind, Tick now);
     /** Bank @p bs's (rank, group) floors (see fillFloors()),
      *  computed on first use after a command issued. */
@@ -340,30 +267,12 @@ class MemController
         const std::size_t hit = row == bs.openRow;
         return open * 3 - hit * (2 - std::size_t{isWrite});
     }
-    /** Append a candidate: @p req's next command @p cmd to flat bank
-     *  @p b, legal no earlier than @p gate nor @p now. */
-    void
-    addCandidate(std::size_t b, Request *req, DramCommandType cmd,
-                 Tick gate, Tick now)
-    {
-        const BankState &bs = banks_[b];
-        const auto c = static_cast<std::size_t>(cmd);
-        Candidate &cand = cands_.emplace_back();
-        cand.req = req;
-        cand.cmd = cmd;
-        cand.isRowHit =
-            cmd == DramCommandType::Read || cmd == DramCommandType::Write;
-        cand.legalAt =
-            std::max(std::max(bs.dram->allowedAt(cmd), floorsFor(bs)[c]),
-                     std::max(gate, now));
-        // Clamped to now, so legality now is equivalent to canIssue()
-        // (test_event_kernel cross-checks the two).
-        cand.issuableNow = cand.legalAt <= now;
-    }
     bool issueCandidate(const Candidate &cand, Tick now);
     /**
-     * Issue a page-policy precharge if one is wanted and legal.
-     * When nothing issues, @p nextCloseEvent (if non-null) receives
+     * Issue a page-policy precharge if one is wanted and legal. Reads
+     * the pending masks, so it runs after this tick's
+     * collectCandidates() with no command issued in between. When
+     * nothing issues, @p nextCloseEvent (if non-null) receives
      * the earliest tick a closure could fire: a wanted-but-illegal
      * precharge's next-legal tick or the policy's own deadline.
      */
@@ -384,23 +293,8 @@ class MemController
     {
         return std::max(channel_.cmdBusFreeAt(), now);
     }
-    /** Flat bank @p b's open row became @p row: reclassify its
-     *  requests. */
+    /** Flat bank @p b's open row became @p row. */
     void rowChanged(std::size_t b, std::uint64_t row);
-    /** Bank @p b's group heads for queue @p kind, recomputed first
-     *  if stale. */
-    const BankState &
-    freshHeads(std::size_t b, int kind)
-    {
-        if (sets_.test(kStale + kind, b))
-            recomputeHeads(b, kind);
-        return banks_[b];
-    }
-    void recomputeHeads(std::size_t b, int kind);
-    /** Fold @p req into bank @p b's heads for its queue kind. */
-    void noteHead(std::size_t b, Request *req);
-    void linkIntoBank(Request *req);
-    void unlinkFromBank(Request *req);
     /** Rebuild every bank mirror after commands issued on the channel
      *  by someone other than this controller. */
     void syncWithChannel();
@@ -428,14 +322,13 @@ class MemController
 
     std::uint32_t banksPerRank_;
     std::vector<BankState> banks_; ///< Flat rank-major, ranks x banks.
-    BankSets sets_;
+    /** Bit b set while flat bank b is open; the page policy visits
+     *  open banks in index order. */
+    std::vector<std::uint64_t> openBanks_;
     std::vector<GroupFloors> floors_; ///< Flat (rank, group).
     /** The channel's command count plus one at the current rebuild:
      *  floors filled under another count are stale. */
     std::uint64_t floorsEpoch_ = 0;
-    /** Latest availableAt ever enqueued: while now is past it no bank
-     *  is gated, so the per-bank gates need no look. */
-    Tick latestGate_;
     std::uint64_t nextSeq_ = 0;
     /** channel_.commandsIssued() as of this controller's last issue. */
     std::uint64_t seenCommands_ = 0;

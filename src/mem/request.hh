@@ -46,10 +46,6 @@ struct Request
     /** Enqueue order at this request's controller: the age tie-break
      *  for requests that arrived on the same tick. */
     std::uint64_t seq = 0;
-    /** Neighbours in the controller's per-bank arrival-ordered list of
-     *  queued reads (or writes). */
-    Request *bankPrev = nullptr;
-    Request *bankNext = nullptr;
 
     RowOutcome outcome = RowOutcome::Unknown;
 
@@ -59,8 +55,10 @@ struct Request
     bool actIssued = false; ///< An ACT was issued for us.
 };
 
-/** Age order of the controller and the age-ordered schedulers:
- *  earlier arrival first, then earlier enqueue (Request::seq). */
+/** Age order of the age-ordered schedulers (FR-FCFS, FCFS,
+ *  FCFS_banks): earlier arrival first, then earlier enqueue
+ *  (Request::seq). A total order over one controller's queued
+ *  requests, so a pick by it never depends on candidate order. */
 inline bool
 olderThan(const Request &a, const Request &b)
 {

@@ -46,7 +46,7 @@ AtlasScheduler::tick(Tick now, const SchedulerContext &)
 void
 AtlasScheduler::onRequestServiced(const Request &req)
 {
-    quantumAs_[slot(req.core)] += cfg_.serviceUnitsPerCas;
+    quantumAs_[coreSlot(req.core, numCores_)] += cfg_.serviceUnitsPerCas;
 }
 
 int
@@ -62,8 +62,8 @@ AtlasScheduler::choose(const std::vector<Candidate> &cands, Tick now,
         const bool sa = starved(a), sb = starved(b);
         if (sa != sb)
             return sa;
-        const auto ra = rank_[slot(a.req->core)];
-        const auto rb = rank_[slot(b.req->core)];
+        const auto ra = rank_[coreSlot(a.req->core, numCores_)];
+        const auto rb = rank_[coreSlot(b.req->core, numCores_)];
         if (ra != rb)
             return ra < rb;
         if (a.isRowHit != b.isRowHit)

@@ -52,18 +52,20 @@ class AtlasScheduler : public Scheduler
     Tick nextEventAt(Tick) const override { return quantumEndsAt_; }
 
     /** Rank of a core (0 = highest priority); for tests. */
-    std::uint32_t coreRank(CoreId c) const { return rank_[slot(c)]; }
+    std::uint32_t coreRank(CoreId c) const
+    {
+        return rank_[coreSlot(c, numCores_)];
+    }
 
     /** Smoothed total attained service of a core; for tests. */
-    double totalService(CoreId c) const { return totalAs_[slot(c)]; }
+    double totalService(CoreId c) const
+    {
+        return totalAs_[coreSlot(c, numCores_)];
+    }
 
     std::uint64_t quantaElapsed() const { return quanta_; }
 
   private:
-    std::uint32_t slot(CoreId c) const
-    {
-        return c >= numCores_ ? numCores_ : c;
-    }
     void newQuantum();
 
     std::uint32_t numCores_;

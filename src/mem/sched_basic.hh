@@ -22,7 +22,6 @@ class FcfsScheduler : public Scheduler
 {
   public:
     const char *name() const override { return "FCFS"; }
-    bool choosesBankHeads() const override { return true; }
     int choose(const std::vector<Candidate> &cands, Tick now,
                const SchedulerContext &ctx) override;
 };
@@ -37,7 +36,6 @@ class FcfsBanksScheduler : public Scheduler
 {
   public:
     const char *name() const override { return "FCFS_banks"; }
-    bool choosesBankHeads() const override { return true; }
     int choose(const std::vector<Candidate> &cands, Tick now,
                const SchedulerContext &ctx) override;
 
@@ -55,7 +53,6 @@ class FrFcfsScheduler : public Scheduler
 {
   public:
     const char *name() const override { return "FR-FCFS"; }
-    bool choosesBankHeads() const override { return true; }
     int choose(const std::vector<Candidate> &cands, Tick now,
                const SchedulerContext &ctx) override;
 };

@@ -10,7 +10,7 @@ FqmScheduler::virtualTime(CoreId core, std::uint32_t bankKey) const
     auto it = vtime_.find(bankKey);
     if (it == vtime_.end())
         return 0;
-    return it->second[slot(core)];
+    return it->second[coreSlot(core, numCores_)];
 }
 
 void
@@ -19,7 +19,7 @@ FqmScheduler::onRequestServiced(const Request &req)
     auto &v = vtime_[req.coord.flatBankKey()];
     if (v.empty())
         v.assign(numCores_ + 1, 0);
-    ++v[slot(req.core)];
+    ++v[coreSlot(req.core, numCores_)];
 }
 
 int

@@ -38,10 +38,6 @@ class FqmScheduler : public Scheduler
     std::uint64_t virtualTime(CoreId core, std::uint32_t bankKey) const;
 
   private:
-    std::uint32_t slot(CoreId c) const
-    {
-        return c >= numCores_ ? numCores_ : c;
-    }
 
     std::uint32_t numCores_;
     /** bankKey -> per-core virtual time. */

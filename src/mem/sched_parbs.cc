@@ -7,17 +7,6 @@
 
 namespace mcsim {
 
-namespace {
-
-/** Effective core index: IO engines share one rank slot at the end. */
-std::uint32_t
-coreSlot(const Request &req, std::uint32_t numCores)
-{
-    return req.core >= numCores ? numCores : req.core;
-}
-
-} // namespace
-
 ParBsScheduler::ParBsScheduler(std::uint32_t numCores, ParBsConfig cfg)
     : numCores_(numCores), cfg_(cfg), rank_(numCores + 1, 0)
 {
@@ -32,7 +21,7 @@ ParBsScheduler::formBatch(const std::vector<Candidate> &cands)
              std::vector<Request *>> perCoreBank;
     for (const auto &c : cands) {
         const auto key =
-            std::make_pair(coreSlot(*c.req, numCores_),
+            std::make_pair(coreSlot(c.req->core, numCores_),
                            c.req->coord.flatBankKey());
         perCoreBank[key].push_back(c.req);
     }
@@ -70,7 +59,7 @@ ParBsScheduler::computeRanks(const std::vector<Candidate> &cands)
     for (const auto &c : cands) {
         if (!c.req->marked)
             continue;
-        auto &l = load[coreSlot(*c.req, numCores_)];
+        auto &l = load[coreSlot(c.req->core, numCores_)];
         ++l.perBank[c.req->coord.flatBankKey()];
         ++l.total;
     }
@@ -117,8 +106,8 @@ ParBsScheduler::choose(const std::vector<Candidate> &cands, Tick,
             return a.req->marked;
         if (a.isRowHit != b.isRowHit)
             return a.isRowHit;
-        const auto ra = rank_[coreSlot(*a.req, numCores_)];
-        const auto rb = rank_[coreSlot(*b.req, numCores_)];
+        const auto ra = rank_[coreSlot(a.req->core, numCores_)];
+        const auto rb = rank_[coreSlot(b.req->core, numCores_)];
         if (ra != rb)
             return ra < rb;
         return a.req->arrivedAt < b.req->arrivedAt;

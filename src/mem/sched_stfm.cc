@@ -29,7 +29,7 @@ StfmScheduler::aloneServiceTicks(const Request &req, bool isRowHit) const
 double
 StfmScheduler::slowdownOf(CoreId core) const
 {
-    const auto s = slot(core);
+    const auto s = coreSlot(core, numCores_);
     if (aloneTicks_[s] <= 0.0)
         return 1.0;
     const double ratio = sharedTicks_[s] / aloneTicks_[s];
@@ -74,7 +74,7 @@ StfmScheduler::victimCore() const
 void
 StfmScheduler::accountService(const Candidate &c, Tick now)
 {
-    const auto s = slot(c.req->core);
+    const auto s = coreSlot(c.req->core, numCores_);
     sharedTicks_[s] += static_cast<double>((now - c.req->arrivedAt).count());
     aloneTicks_[s] += static_cast<double>(
         aloneServiceTicks(*c.req, c.isRowHit).count());
@@ -106,10 +106,10 @@ StfmScheduler::choose(const std::vector<Candidate> &cands, Tick now,
         if (aStarved != bStarved)
             return aStarved;
         if (victim >= 0) {
-            const bool aVictim =
-                slot(a.req->core) == static_cast<std::uint32_t>(victim);
-            const bool bVictim =
-                slot(b.req->core) == static_cast<std::uint32_t>(victim);
+            const bool aVictim = coreSlot(a.req->core, numCores_) ==
+                                 static_cast<std::uint32_t>(victim);
+            const bool bVictim = coreSlot(b.req->core, numCores_) ==
+                                 static_cast<std::uint32_t>(victim);
             if (aVictim != bVictim)
                 return aVictim;
         }

@@ -68,10 +68,6 @@ class StfmScheduler : public Scheduler
     double unfairness() const;
 
   private:
-    std::uint32_t slot(CoreId c) const
-    {
-        return c >= numCores_ ? numCores_ : c;
-    }
     /** The core to elevate, or -1 when the system is fair. */
     int victimCore() const;
     TickSpan aloneServiceTicks(const Request &req, bool isRowHit) const;

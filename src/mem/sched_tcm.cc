@@ -20,13 +20,13 @@ TcmScheduler::TcmScheduler(std::uint32_t numCores, TcmConfig cfg,
 void
 TcmScheduler::onRequestArrived(const Request &req)
 {
-    ++arrived_[slot(req.core)];
+    ++arrived_[coreSlot(req.core, numCores_)];
 }
 
 void
 TcmScheduler::onRequestServiced(const Request &req)
 {
-    ++serviced_[slot(req.core)];
+    ++serviced_[coreSlot(req.core, numCores_)];
 }
 
 void
@@ -117,8 +117,8 @@ TcmScheduler::choose(const std::vector<Candidate> &cands, Tick now,
             return aStarved;
         if (aStarved) // Among starved requests: strictly oldest first.
             return a.req->arrivedAt < b.req->arrivedAt;
-        const auto pa = prio_[slot(a.req->core)];
-        const auto pb = prio_[slot(b.req->core)];
+        const auto pa = prio_[coreSlot(a.req->core, numCores_)];
+        const auto pb = prio_[coreSlot(b.req->core, numCores_)];
         if (pa != pb)
             return pa < pb;
         if (a.isRowHit != b.isRowHit)

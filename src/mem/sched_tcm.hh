@@ -73,19 +73,21 @@ class TcmScheduler : public Scheduler
     }
 
     /** True if the core is in the latency-sensitive cluster. */
-    bool inLatencyCluster(CoreId c) const { return latency_[slot(c)]; }
+    bool inLatencyCluster(CoreId c) const
+    {
+        return latency_[coreSlot(c, numCores_)];
+    }
 
     /** Priority of a core (lower = served first); for tests. */
-    std::uint32_t corePriority(CoreId c) const { return prio_[slot(c)]; }
+    std::uint32_t corePriority(CoreId c) const
+    {
+        return prio_[coreSlot(c, numCores_)];
+    }
 
     std::uint64_t quantaElapsed() const { return quanta_; }
     std::uint64_t shufflesDone() const { return shuffles_; }
 
   private:
-    std::uint32_t slot(CoreId c) const
-    {
-        return c >= numCores_ ? numCores_ : c;
-    }
     void newQuantum();
     void shuffleBandwidthCluster();
 

@@ -2,21 +2,14 @@
  * @file
  * Memory scheduling algorithm (MSA) interface.
  *
- * Each DRAM-clock cycle the controller offers the scheduler a set of
- * candidates: queued requests of the active pool (read queue, or write
- * queue while draining; both for unifiedQueues() policies), each with
- * the next DRAM command it needs given current bank state and whether
- * that command is issuable this cycle. The scheduler picks one
- * issuable candidate (or none). This factoring lets request-level
- * policies (FCFS, FR-FCFS, PAR-BS, ATLAS) and command-level policies
- * (RL) share one interface.
- *
- * Which requests are offered depends on choosesBankHeads(). By
- * default every request of the pool is a candidate, in pool (enqueue)
- * order. A policy whose pick is always the oldest request of some
- * (bank, next command) group instead sees only each group's oldest
- * member — at most two per bank — because every member of a group
- * shares one legal tick.
+ * Each DRAM-clock cycle the controller offers the scheduler one
+ * candidate per queued request of the active pool (read queue, or
+ * write queue while draining; both for unifiedQueues() policies), in
+ * pool (enqueue) order, each with the next DRAM command it needs given
+ * current bank state and whether that command is issuable this cycle.
+ * The scheduler picks one issuable candidate (or none). This factoring
+ * lets request-level policies (FCFS, FR-FCFS, PAR-BS, ATLAS) and
+ * command-level policies (RL) share one interface.
  */
 
 #ifndef CLOUDMC_MEM_SCHEDULER_HH
@@ -106,24 +99,6 @@ class Scheduler
      * when it selects the memory request to serve next".
      */
     virtual bool unifiedQueues() const { return false; }
-
-    /**
-     * True if choose() always returns the oldest request, by
-     * olderThan() (arrivedAt, then seq), of some (bank, next command)
-     * group: the requests of one bank that need the same next command
-     * (ACT to a closed bank, RD/WR to its open row, PRE for another
-     * row). The controller then passes only each group's oldest
-     * member: the head of each closed bank, plus the first open-row hit
-     * and the first other-row request of each open bank, in no
-     * particular order. All members of a group share one legal tick,
-     * so the pick is the one the full per-request set would give —
-     * provided choose() breaks age ties by Request::seq rather than by
-     * candidate index (seq is enqueue order, which is the full set's
-     * index order). A bank holding any request gated by
-     * Request::availableAt past now contributes all its requests,
-     * since the gate splits its groups.
-     */
-    virtual bool choosesBankHeads() const { return false; }
 };
 
 } // namespace mcsim

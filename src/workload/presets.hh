@@ -8,9 +8,8 @@
  * (FR-FCFS, open-adaptive, 1 channel) reproduces the workload's
  * published characteristics: the row-buffer hit rate, L2 MPKI,
  * single-access activation fraction and bandwidth utilization read
- * off the paper's Figures 2, 4, 7 and 8, which
- * examples/characterize.cpp prints next to the measured values; see
- * EXPERIMENTS.md for measured values.
+ * off the paper's Figures 2, 4, 7 and 8, which example_characterize
+ * (examples/characterize.cpp) prints next to the measured values.
  */
 
 #ifndef CLOUDMC_WORKLOAD_PRESETS_HH

@@ -10,8 +10,9 @@
  * The presets in presets.hh are calibrated so the FR-FCFS / OAPM /
  * 1-channel baseline reproduces each workload's published row-buffer
  * hit rate, L2 MPKI, single-access activation fraction, and bandwidth
- * utilization, as read off the paper's figures (the targets
- * examples/characterize.cpp prints; see EXPERIMENTS.md).
+ * utilization, as read off the paper's figures: example_characterize
+ * (examples/characterize.cpp) prints those targets next to the
+ * measured values.
  */
 
 #ifndef CLOUDMC_WORKLOAD_SYNTHETIC_HH

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -536,10 +537,16 @@ struct DeviceRig
 {
     DeviceRig(const std::string &device, std::unique_ptr<Scheduler> sched,
               PagePolicyKind policy)
-        : dev(dramDeviceOrDie(device)),
-          clk(ClockDomains::fromMhz(kBaselineClocks.coreMhz, dev.busMhz)),
+        : DeviceRig(device, std::move(sched),
+                    makePagePolicy(policy, clocksOf(device)))
+    {
+    }
+
+    DeviceRig(const std::string &device, std::unique_ptr<Scheduler> sched,
+              std::unique_ptr<PagePolicy> policy)
+        : dev(dramDeviceOrDie(device)), clk(clocksOf(device)),
           channel(dev.geometry, dev.timings, true, clk),
-          mc(channel, std::move(sched), makePagePolicy(policy, clk), 16)
+          mc(channel, std::move(sched), std::move(policy), 16)
     {
         mc.setCompletionCallback([this](Request *req, Tick at) {
             done.emplace_back(req->id, at);
@@ -580,6 +587,14 @@ struct DeviceRig
         mc.enqueue(storage.back().get(), now);
     }
 
+    /** The rig's clocks: baseline cores over @p device's bus. */
+    static ClockDomains
+    clocksOf(const std::string &device)
+    {
+        return ClockDomains::fromMhz(kBaselineClocks.coreMhz,
+                                     dramDeviceOrDie(device).busMhz);
+    }
+
     const DramDevice &dev;
     ClockDomains clk;
     Channel channel;
@@ -592,14 +607,12 @@ struct DeviceRig
 const char *const kRigDevices[] = {"DDR3-1600", "DDR4-2400", "DDR5-4800",
                                    "LPDDR3-1600", "HMC2-8GB"};
 
-/**
- * An age-ordered scheduler offered every pooled request instead of
- * bank heads: the reference the bank-head candidates must match.
- */
-class EveryRequest : public Scheduler
+/** A scheduler that forwards every call to an inner one; the checking
+ *  wrappers below override the calls they observe. */
+class ForwardingScheduler : public Scheduler
 {
   public:
-    explicit EveryRequest(std::unique_ptr<Scheduler> inner)
+    explicit ForwardingScheduler(std::unique_ptr<Scheduler> inner)
         : inner_(std::move(inner))
     {
     }
@@ -637,18 +650,15 @@ class EveryRequest : public Scheduler
  * A scheduler wrapper that checks every candidate it is offered
  * against the channel before delegating: the next command and row-hit
  * flag the bank state gives, legalAt = max(nextLegalAt, availableAt),
- * and issuableNow = canIssue() with the gate open. For a per-request
- * scheduler it also checks that the whole active pool is offered, in
- * pool order. Forwards choosesBankHeads(), so both candidate paths are
- * checked. Records the first mismatch.
+ * and issuableNow = canIssue() with the gate open. It also checks that
+ * the whole active pool is offered, in pool order, and notes a tick
+ * that saw a non-empty pool but never offered it. Records the first
+ * mismatch.
  */
-class CheckedCandidates : public Scheduler
+class CheckedCandidates : public ForwardingScheduler
 {
   public:
-    explicit CheckedCandidates(std::unique_ptr<Scheduler> inner)
-        : inner_(std::move(inner))
-    {
-    }
+    using ForwardingScheduler::ForwardingScheduler;
 
     const Channel *channel = nullptr;
     std::string mismatch; ///< First mismatch, empty while none.
@@ -656,58 +666,48 @@ class CheckedCandidates : public Scheduler
     std::uint64_t blocked = 0; ///< legalAt past now.
     std::uint64_t gated = 0;   ///< availableAt set legalAt.
     std::uint64_t perCommand[4] = {};
+    /** Set by tick() while the active pool is non-empty and cleared by
+     *  choose(): still set after a controller tick, the pool was not
+     *  offered, which only an issued refresh step may explain. */
+    bool poolUnoffered = false;
 
-    const char *name() const override { return inner_->name(); }
     int
     choose(const std::vector<Candidate> &cands, Tick now,
            const SchedulerContext &ctx) override
     {
+        poolUnoffered = false;
         if (mismatch.empty())
             mismatch = check(cands, now, ctx);
-        return inner_->choose(cands, now, ctx);
-    }
-    void onRequestArrived(const Request &r) override
-    {
-        inner_->onRequestArrived(r);
-    }
-    void onRequestServiced(const Request &r) override
-    {
-        inner_->onRequestServiced(r);
+        return ForwardingScheduler::choose(cands, now, ctx);
     }
     void tick(Tick now, const SchedulerContext &ctx) override
     {
-        inner_->tick(now, ctx);
-    }
-    Tick nextEventAt(Tick now) const override
-    {
-        return inner_->nextEventAt(now);
-    }
-    bool unifiedQueues() const override { return inner_->unifiedQueues(); }
-    bool choosesBankHeads() const override
-    {
-        return inner_->choosesBankHeads();
+        poolUnoffered = poolSize(ctx) > 0;
+        ForwardingScheduler::tick(now, ctx);
     }
 
   private:
+    std::size_t
+    poolSize(const SchedulerContext &ctx) const
+    {
+        return unifiedQueues() ? ctx.readQueueLen + ctx.writeQueueLen
+               : ctx.drainingWrites ? ctx.writeQueueLen
+                                    : ctx.readQueueLen;
+    }
+
     std::string
     check(const std::vector<Candidate> &cands, Tick now,
           const SchedulerContext &ctx)
     {
-        if (!choosesBankHeads()) {
-            const std::size_t pool =
-                unifiedQueues() ? ctx.readQueueLen + ctx.writeQueueLen
-                : ctx.drainingWrites ? ctx.writeQueueLen
-                                     : ctx.readQueueLen;
-            if (cands.size() != pool) {
-                return "offered " + std::to_string(cands.size()) +
-                       " of a pool of " + std::to_string(pool);
-            }
+        const std::size_t pool = poolSize(ctx);
+        if (cands.size() != pool) {
+            return "offered " + std::to_string(cands.size()) +
+                   " of a pool of " + std::to_string(pool);
         }
         for (std::size_t i = 0; i < cands.size(); ++i) {
             const Candidate &c = cands[i];
             const Request &r = *c.req;
-            if (!choosesBankHeads() && i > 0 &&
-                cands[i - 1].req->isWrite == r.isWrite &&
+            if (i > 0 && cands[i - 1].req->isWrite == r.isWrite &&
                 cands[i - 1].req->seq > r.seq) {
                 return "candidate " + std::to_string(i) +
                        " out of pool order";
@@ -746,8 +746,6 @@ class CheckedCandidates : public Scheduler
         }
         return {};
     }
-
-    std::unique_ptr<Scheduler> inner_;
 };
 
 } // namespace
@@ -760,9 +758,9 @@ TEST(MemController, LegalityCacheMatchesChannel)
     // must equal the channel's own nextLegalAt(), and must be exactly
     // the first tick canIssue() accepts: issuable now when it is at or
     // before now, else issuable at it and not one tick earlier. Covers
-    // the bank-head schedulers, per-request ones (RL with unified
-    // queues) and page closures; the counts show the states the check
-    // reached.
+    // an age-ordered scheduler (FR-FCFS), a batching one (PAR-BS), one
+    // with unified queues (RL) and page closures; the counts show the
+    // states the check reached.
     const SchedulerKind scheds[] = {
         SchedulerKind::FrFcfs, SchedulerKind::Rl, SchedulerKind::ParBs};
     const PagePolicyKind policies[] = {PagePolicyKind::OpenAdaptive,
@@ -848,15 +846,15 @@ TEST(MemController, LegalityCacheMatchesChannel)
 
 TEST(MemController, CandidatesMatchBankState)
 {
-    // Every candidate offered to a scheduler, per request (PAR-BS,
-    // ATLAS, RL) or per bank head (FR-FCFS, FCFS_banks), carries the
-    // command, row-hit flag, legal tick and issuability the channel's
-    // bank state gives, with a fifth of the requests gated. Ticked
-    // every cycle, so candidates kept and re-clamped between rebuilds
-    // are checked too.
+    // Every scheduler is offered the whole active pool in pool order,
+    // and every candidate carries the command, row-hit flag, legal tick
+    // and issuability the channel's bank state gives, with a fifth of
+    // the requests gated. Ticked every cycle, so candidates kept and
+    // re-clamped between rebuilds are checked too.
     const SchedulerKind scheds[] = {
-        SchedulerKind::FrFcfs, SchedulerKind::FcfsBanks,
-        SchedulerKind::ParBs, SchedulerKind::Atlas, SchedulerKind::Rl};
+        SchedulerKind::FrFcfs, SchedulerKind::Fcfs,
+        SchedulerKind::FcfsBanks, SchedulerKind::ParBs,
+        SchedulerKind::Atlas, SchedulerKind::Rl};
     const PagePolicyKind policies[] = {PagePolicyKind::OpenAdaptive,
                                        PagePolicyKind::Close};
     for (const char *device :
@@ -881,6 +879,10 @@ TEST(MemController, CandidatesMatchBankState)
                     rig.maybeEnqueue(rng, cycle, now, 5);
                     rig.mc.tick(now);
                     ASSERT_EQ(check.mismatch, "") << "cycle " << cycle;
+                    ASSERT_TRUE(!check.poolUnoffered ||
+                                (!rig.cmds.empty() &&
+                                 rig.cmds.back().second == now))
+                        << "cycle " << cycle << ": pool not offered";
                     now += clk.dramToTicks(1);
                 }
                 EXPECT_GT(check.blocked, 0u);
@@ -895,67 +897,228 @@ TEST(MemController, CandidatesMatchBankState)
 
 TEST(MemController, BankHeadsMatchPerRequestCandidates)
 {
-    // FR-FCFS, FCFS and FCFS_banks see only bank heads; the same
-    // schedulers offered every request must issue the identical
-    // command stream and complete the same requests at the same ticks,
-    // with both controllers stepped on their own wake-up hints the way
-    // the event kernel steps them. A fifth of the requests are gated
-    // by availableAt, which splits a bank's groups.
+    // The age-ordered schedulers (FR-FCFS, FCFS, FCFS_banks), offered
+    // one candidate per queued request like every other scheduler,
+    // stepped on their own wake-up hints (tick()'s return value) the
+    // way the event kernel steps them, must issue the command stream
+    // and complete the requests, at the same ticks, that the same
+    // controller ticked every cycle does. A fifth of the requests are
+    // gated by availableAt, whose gates the hints must also wake for.
+    // (The name is kept from the bank-head candidate path the
+    // per-request candidates replaced.)
     const SchedulerKind scheds[] = {SchedulerKind::FrFcfs,
                                     SchedulerKind::Fcfs,
                                     SchedulerKind::FcfsBanks};
     const PagePolicyKind policies[] = {PagePolicyKind::OpenAdaptive,
                                        PagePolicyKind::CloseAdaptive,
                                        PagePolicyKind::Close};
+    constexpr int kCycles = 14000;
     for (const char *device : {"DDR3-1600", "DDR5-4800", "LPDDR3-1600"}) {
         for (const SchedulerKind sched : scheds) {
             for (const PagePolicyKind policy : policies) {
                 SCOPED_TRACE(std::string(device) + " / " +
                              schedulerKindName(sched) + " / " +
                              pagePolicyKindName(policy));
-                const DramDevice &dev = dramDeviceOrDie(device);
-                const ClockDomains clk = ClockDomains::fromMhz(
-                    kBaselineClocks.coreMhz, dev.busMhz);
-                DeviceRig heads(device, makeScheduler(sched, 16), policy);
-                DeviceRig every(device,
-                                std::make_unique<EveryRequest>(
-                                    makeScheduler(sched, 16)),
-                                policy);
-                ASSERT_TRUE(heads.mc.scheduler().choosesBankHeads());
-                ASSERT_FALSE(every.mc.scheduler().choosesBankHeads());
+                const ClockDomains clk = DeviceRig::clocksOf(device);
+                DeviceRig hinted(device, makeScheduler(sched, 16), policy);
+                DeviceRig every(device, makeScheduler(sched, 16), policy);
                 Pcg32 rngA(11, static_cast<std::uint64_t>(sched));
                 Pcg32 rngB(11, static_cast<std::uint64_t>(sched));
-                Tick dueA{}, dueB{};
+                Tick due{};
+                int hintedTicks = 0;
                 Tick now{};
-                for (int cycle = 0; cycle < 14000; ++cycle) {
-                    const std::size_t queuedA = heads.storage.size();
-                    heads.maybeEnqueue(rngA, cycle, now);
-                    every.maybeEnqueue(rngB, cycle, now);
-                    if (heads.storage.size() != queuedA) {
-                        dueA = now; // Arrivals re-arm the controllers.
-                        dueB = now;
+                for (int cycle = 0; cycle < kCycles; ++cycle) {
+                    const std::size_t queued = hinted.storage.size();
+                    hinted.maybeEnqueue(rngA, cycle, now, 5);
+                    every.maybeEnqueue(rngB, cycle, now, 5);
+                    if (hinted.storage.size() != queued)
+                        due = now; // Arrivals re-arm the controller.
+                    if (due <= now) {
+                        due = hinted.mc.tick(now);
+                        ++hintedTicks;
+                        ASSERT_GT(due, now);
                     }
-                    if (dueA <= now)
-                        dueA = heads.mc.tick(now);
-                    if (dueB <= now)
-                        dueB = every.mc.tick(now);
+                    every.mc.tick(now);
                     now += clk.dramToTicks(1);
                 }
-                ASSERT_EQ(heads.cmds.size(), every.cmds.size());
-                for (std::size_t i = 0; i < heads.cmds.size(); ++i) {
-                    const auto &[a, at] = heads.cmds[i];
+                ASSERT_EQ(hinted.cmds.size(), every.cmds.size());
+                for (std::size_t i = 0; i < hinted.cmds.size(); ++i) {
+                    const auto &[a, at] = hinted.cmds[i];
                     const auto &[b, bt] = every.cmds[i];
                     ASSERT_TRUE(a.type == b.type && a.rank == b.rank &&
                                 a.bank == b.bank && a.row == b.row &&
                                 a.column == b.column && at == bt)
-                        << "command " << i << ": heads issued "
+                        << "command " << i << ": hinted issued "
                         << dramCommandName(a.type) << " at " << at
-                        << ", every-request issued "
+                        << ", every-cycle issued "
                         << dramCommandName(b.type) << " at " << bt;
                 }
-                EXPECT_EQ(heads.done, every.done);
-                EXPECT_GT(heads.done.size(), 100u);
-                EXPECT_GT(heads.channel.stats().refreshes, 0u);
+                EXPECT_EQ(hinted.done, every.done);
+                EXPECT_GT(hinted.done.size(), 100u);
+                EXPECT_GT(hinted.channel.stats().refreshes, 0u);
+                // The hints skipped cycles, so the comparison is not
+                // one of two identical loops.
+                EXPECT_LT(hintedTicks, kCycles);
+            }
+        }
+    }
+}
+
+namespace {
+
+/**
+ * A scheduler wrapper that keeps the live request pool: every request
+ * between onRequestArrived() and onRequestServiced(), plus the drain
+ * mode each tick() reports.
+ */
+class PoolTracker : public ForwardingScheduler
+{
+  public:
+    using ForwardingScheduler::ForwardingScheduler;
+
+    std::vector<const Request *> live;
+    bool draining = false;
+    std::uint64_t drainFlips = 0;
+
+    /** Is @p r in the active pool: the read queue, or the write queue
+     *  while draining; both with unified queues. */
+    bool
+    active(const Request &r) const
+    {
+        return unifiedQueues() || r.isWrite == draining;
+    }
+
+    void onRequestArrived(const Request &r) override
+    {
+        live.push_back(&r);
+        ForwardingScheduler::onRequestArrived(r);
+    }
+    void onRequestServiced(const Request &r) override
+    {
+        live.erase(std::find(live.begin(), live.end(), &r));
+        ForwardingScheduler::onRequestServiced(r);
+    }
+    void tick(Tick now, const SchedulerContext &ctx) override
+    {
+        drainFlips += ctx.drainingWrites != draining;
+        draining = ctx.drainingWrites;
+        ForwardingScheduler::tick(now, ctx);
+    }
+};
+
+/**
+ * A page-policy wrapper that checks every shouldClose() query's
+ * pendingHit and pendingConflict against the live active pool a
+ * PoolTracker keeps, before delegating. Records the first mismatch.
+ */
+class CheckedPageQueries : public PagePolicy
+{
+  public:
+    CheckedPageQueries(std::unique_ptr<PagePolicy> inner,
+                       const PoolTracker &pool)
+        : inner_(std::move(inner)), pool_(pool)
+    {
+    }
+
+    std::string mismatch; ///< First mismatch, empty while none.
+    /** Queries seen, by [pendingHit][pendingConflict]. */
+    std::uint64_t queries[2][2] = {};
+
+    const char *name() const override { return inner_->name(); }
+    bool
+    shouldClose(const PageQuery &q) override
+    {
+        bool hit = false;
+        bool conflict = false;
+        for (const Request *r : pool_.live) {
+            if (r->coord.rank == q.rank && r->coord.bank == q.bank &&
+                pool_.active(*r)) {
+                (r->coord.row == q.openRow ? hit : conflict) = true;
+            }
+        }
+        if (mismatch.empty() &&
+            (q.pendingHit != hit || q.pendingConflict != conflict)) {
+            mismatch = "rank " + std::to_string(q.rank) + " bank " +
+                       std::to_string(q.bank) + " at tick " +
+                       std::to_string(q.now.count()) + ": pending hit " +
+                       std::to_string(q.pendingHit) + " conflict " +
+                       std::to_string(q.pendingConflict) + ", pool has " +
+                       std::to_string(hit) + " and " +
+                       std::to_string(conflict);
+        }
+        ++queries[hit][conflict];
+        return inner_->shouldClose(q);
+    }
+    Tick
+    nextCloseEventAt(const PageQuery &q) const override
+    {
+        return inner_->nextCloseEventAt(q);
+    }
+    void
+    onActivate(std::uint32_t rank, std::uint32_t bank,
+               std::uint64_t row) override
+    {
+        inner_->onActivate(rank, bank, row);
+    }
+    void
+    onPrecharge(std::uint32_t rank, std::uint32_t bank, std::uint64_t row,
+                std::uint32_t accesses) override
+    {
+        inner_->onPrecharge(rank, bank, row, accesses);
+    }
+
+  private:
+    std::unique_ptr<PagePolicy> inner_;
+    const PoolTracker &pool_;
+};
+
+} // namespace
+
+TEST(MemController, PageQueriesMatchActivePool)
+{
+    // The page policy's pendingHit / pendingConflict flags describe the
+    // active pool as it is at the query: the read queue, or the write
+    // queue while draining (both for RL's unified queues), against the
+    // bank's open row. The pool is tracked independently of the
+    // controller, through the scheduler's arrival and service calls
+    // and the drain mode its tick() sees. Ticked every cycle, so
+    // queries between candidate rebuilds are checked too.
+    const SchedulerKind scheds[] = {
+        SchedulerKind::FrFcfs, SchedulerKind::ParBs, SchedulerKind::Rl};
+    const PagePolicyKind policies[] = {PagePolicyKind::OpenAdaptive,
+                                       PagePolicyKind::CloseAdaptive};
+    for (const char *device : {"DDR3-1600", "DDR5-4800", "HMC2-8GB"}) {
+        for (const SchedulerKind sched : scheds) {
+            for (const PagePolicyKind policy : policies) {
+                SCOPED_TRACE(std::string(device) + " / " +
+                             schedulerKindName(sched) + " / " +
+                             pagePolicyKindName(policy));
+                const DramDevice &dev = dramDeviceOrDie(device);
+                const ClockDomains clk = DeviceRig::clocksOf(device);
+                auto tracker = std::make_unique<PoolTracker>(makeScheduler(
+                    sched, 16, SchedulerParams{}, clk, dev.timings));
+                PoolTracker &pool = *tracker;
+                auto checked = std::make_unique<CheckedPageQueries>(
+                    makePagePolicy(policy, clk), pool);
+                CheckedPageQueries &check = *checked;
+                DeviceRig rig(device, std::move(tracker),
+                              std::move(checked));
+                Pcg32 rng(17, static_cast<std::uint64_t>(sched));
+                Tick now{};
+                for (int cycle = 0; cycle < 14000; ++cycle) {
+                    rig.maybeEnqueue(rng, cycle, now, 5);
+                    rig.mc.tick(now);
+                    ASSERT_EQ(check.mismatch, "") << "cycle " << cycle;
+                    now += clk.dramToTicks(1);
+                }
+                // Each flag was seen true and false.
+                const auto &n = check.queries;
+                EXPECT_GT(n[1][0] + n[1][1], 0u); // pendingHit
+                EXPECT_GT(n[0][0] + n[0][1], 0u);
+                EXPECT_GT(n[0][1] + n[1][1], 0u); // pendingConflict
+                EXPECT_GT(n[0][0] + n[1][0], 0u);
+                EXPECT_GT(pool.drainFlips, 0u);
+                EXPECT_GT(rig.done.size(), 100u);
             }
         }
     }
