@@ -232,6 +232,15 @@ using DramCycles = Duration<DramClock>;
 /** Physical byte address. */
 using Addr = std::uint64_t;
 
+/**
+ * Modelled physical address width (32 TiB): trace files are refused
+ * at any address at or above 2^kAddrBits. The caches keep 32-bit
+ * set-relative tags; for the Table 2 L1s (64 B blocks, 256 sets) this
+ * width keeps every tag below 2^31, clear of the all-ones tag that
+ * marks an invalid way.
+ */
+constexpr unsigned kAddrBits = 45;
+
 /** Core (hardware thread) identifier. */
 using CoreId = std::uint32_t;
 

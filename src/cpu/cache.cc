@@ -4,15 +4,26 @@
 
 namespace mcsim {
 
+namespace {
+
+/** One in every nibble of a recency word. */
+constexpr std::uint64_t kNibbleOnes = 0x1111'1111'1111'1111ull;
+
+} // namespace
+
 Cache::Cache(const CacheConfig &cfg) : cfg_(cfg)
 {
     mc_assert(isPowerOf2(cfg_.blockBytes), "block size must be 2^n");
     mc_assert(cfg_.numSets() >= 1 && isPowerOf2(cfg_.numSets()),
               "cache sets must be a positive power of two; size ",
               cfg_.sizeBytes, " ways ", cfg_.ways);
-    mc_assert(cfg_.ways <= 255, "way index must fit the hint byte");
+    if (cfg_.ways > kMaxWays) {
+        mc_fatal("cache of ", cfg_.ways, " ways is wider than the ",
+                 kMaxWays, " a set's recency word can order");
+    }
     blockShift_ = floorLog2(cfg_.blockBytes);
     setMask_ = cfg_.numSets() - 1;
+    tagShift_ = blockShift_ + floorLog2(cfg_.numSets());
     const std::size_t n = cfg_.numSets() * cfg_.ways;
     tags_.assign(n, kNoTag);
     dirty_.assign(n, 0);
@@ -21,39 +32,60 @@ Cache::Cache(const CacheConfig &cfg) : cfg_(cfg)
                                         // fill; invalid ways are always
                                         // preferred victims.
     } else {
-        stamps_.assign(n, 0);
-        wayHint_.assign(cfg_.numSets(), 0);
+        // Way i in nibble i: any permutation would do (see order_).
+        order_.assign(cfg_.numSets(), 0xFEDC'BA98'7654'3210ull);
     }
 }
 
+void
+Cache::touch(std::size_t set, std::uint32_t way)
+{
+    // SWAR search: way's nibble is the lowest zero nibble of x, and the
+    // zero test flags no nibble below the first zero one.
+    const std::uint64_t word = order_[set];
+    const std::uint64_t x = word ^ kNibbleOnes * way;
+    const std::uint64_t zero = (x - kNibbleOnes) & ~x & kNibbleOnes << 3;
+    const unsigned pos = static_cast<unsigned>(__builtin_ctzll(zero)) & ~3u;
+    // The ways more recent than it shift back one nibble; it goes first.
+    const std::uint64_t newer = (std::uint64_t{1} << pos) - 1;
+    order_[set] = (word & ~(newer << 4 | 0xF)) | (word & newer) << 4 | way;
+}
+
 bool
-Cache::accessScan(Addr tag, std::size_t set, bool isWrite)
+Cache::hitScan(std::uint32_t tag, std::size_t set, bool isWrite)
 {
     const std::size_t base = set * cfg_.ways;
-    // Try the last-hit way first: a tag match there is exactly the hit
-    // the scan would find, with the same stamp/dirty updates.
-    const std::size_t hinted = base + wayHint_[set];
-    if (tags_[hinted] == tag) {
-        stamps_[hinted] = ++lruClock_;
-        dirty_[hinted] |= static_cast<std::uint8_t>(isWrite);
-        return true;
-    }
     for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
         if (tags_[base + w] == tag) {
-            stamps_[base + w] = ++lruClock_;
-            dirty_[base + w] |= static_cast<std::uint8_t>(isWrite);
-            wayHint_[set] = static_cast<std::uint8_t>(w);
+            markDirty(base + w, isWrite);
+            touch(set, w);
             return true;
         }
     }
-    ++stats_.misses;
     return false;
 }
 
 CacheAccessResult
-Cache::fill2Way(Addr tag, std::size_t base, bool dirty)
+Cache::evict(std::size_t set, std::size_t victim, std::uint32_t tag,
+             bool dirty)
 {
-    const std::size_t set = base >> 1;
+    CacheAccessResult res;
+    if (tags_[victim] != kNoTag) {
+        res.victimValid = true;
+        res.victimDirty = dirty_[victim] != 0;
+        res.victimAddr = addrOf(tags_[victim], set);
+        if (res.victimDirty)
+            ++stats_.writebacks;
+    }
+    tags_[victim] = tag;
+    dirty_[victim] = static_cast<std::uint8_t>(dirty);
+    return res;
+}
+
+CacheAccessResult
+Cache::fill2Way(std::uint32_t tag, std::size_t set, bool dirty)
+{
+    const std::size_t base = set * 2;
     for (std::size_t w = 0; w < 2; ++w) {
         if (tags_[base + w] == tag) {
             // Already present (e.g. racing fills); just update state.
@@ -62,75 +94,54 @@ Cache::fill2Way(Addr tag, std::size_t base, bool dirty)
             return {};
         }
     }
-    // Victim: an invalid way first (way 1 preferred, matching the
-    // stamp scan's last-invalid-wins order), else the non-MRU way —
+    // Victim: an invalid way first (way 1 preferred, matching the wide
+    // path's highest-invalid-wins order), else the non-MRU way —
     // which for two ways is exactly the least recently used.
-    std::size_t victim;
+    std::size_t w;
     if (tags_[base + 1] == kNoTag)
-        victim = base + 1;
+        w = 1;
     else if (tags_[base] == kNoTag)
-        victim = base;
+        w = 0;
     else
-        victim = base + (mru_[set] ^ 1u);
-    CacheAccessResult res;
-    if (tags_[victim] != kNoTag) {
-        res.victimValid = true;
-        res.victimDirty = dirty_[victim] != 0;
-        res.victimAddr = tags_[victim] << blockShift_;
-        if (res.victimDirty)
-            ++stats_.writebacks;
-    }
-    tags_[victim] = tag;
-    dirty_[victim] = static_cast<std::uint8_t>(dirty);
-    mru_[set] = static_cast<std::uint8_t>(victim - base);
-    return res;
+        w = mru_[set] ^ 1u;
+    mru_[set] = static_cast<std::uint8_t>(w);
+    return evict(set, base + w, tag, dirty);
 }
 
 CacheAccessResult
 Cache::fill(Addr addr, bool dirty)
 {
-    const Addr tag = tagOf(addr);
-    mc_assert(tag != kNoTag, "address collides with the invalid tag");
+    mc_assert(addr >> tagShift_ < kNoTag, "address ", addr,
+              " is beyond the cache's 32-bit tag range");
+    const std::uint32_t tag = tagOf(addr);
     const std::size_t set = setIndex(addr);
-    const std::size_t base = set * cfg_.ways;
     if (cfg_.ways == 2)
-        return fill2Way(tag, base, dirty);
-    std::size_t victim = base;
+        return fill2Way(tag, set, dirty);
+    const std::size_t base = set * cfg_.ways;
+    // Victim: the highest-index invalid way, else the LRU way.
+    std::uint32_t victim = kMaxWays;
     for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-        const std::size_t i = base + w;
-        if (tags_[i] == tag) {
+        if (tags_[base + w] == tag) {
             // Already present (e.g. racing fills); just update state.
-            dirty_[i] |= static_cast<std::uint8_t>(dirty);
-            stamps_[i] = ++lruClock_;
-            wayHint_[set] = static_cast<std::uint8_t>(w);
+            dirty_[base + w] |= static_cast<std::uint8_t>(dirty);
+            touch(set, w);
             return {};
         }
-        if (tags_[i] == kNoTag) {
-            victim = i;
-        } else if (tags_[victim] != kNoTag &&
-                   stamps_[i] < stamps_[victim]) {
-            victim = i;
-        }
+        if (tags_[base + w] == kNoTag)
+            victim = w;
     }
-    CacheAccessResult res;
-    if (tags_[victim] != kNoTag) {
-        res.victimValid = true;
-        res.victimDirty = dirty_[victim] != 0;
-        res.victimAddr = tags_[victim] << blockShift_;
-        if (res.victimDirty)
-            ++stats_.writebacks;
+    if (victim == kMaxWays) {
+        const unsigned lru = 4 * (cfg_.ways - 1);
+        victim = static_cast<std::uint32_t>(order_[set] >> lru) & 0xF;
     }
-    tags_[victim] = tag;
-    dirty_[victim] = static_cast<std::uint8_t>(dirty);
-    stamps_[victim] = ++lruClock_;
-    wayHint_[set] = static_cast<std::uint8_t>(victim - base);
-    return res;
+    touch(set, victim);
+    return evict(set, base + victim, tag, dirty);
 }
 
 bool
 Cache::invalidate(Addr addr)
 {
-    const Addr tag = tagOf(addr);
+    const std::uint32_t tag = tagOf(addr);
     const std::size_t base = setIndex(addr) * cfg_.ways;
     for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
         const std::size_t i = base + w;

@@ -3,10 +3,11 @@
  * A set-associative, write-back, write-allocate cache model with true
  * LRU replacement. Tag state only — no data values are modeled.
  *
- * The lookup paths (access / probe / probeRun) live in this header so
+ * The lookup paths (access / accessIfPresent) live in this header so
  * the cores' per-instruction loops inline them; misses and fills stay
- * out of line. Layout is structure-of-arrays (see tags_ below), which
- * is also what makes the run-length probe a contiguous scan.
+ * out of line. Layout is structure-of-arrays: 32-bit set-relative
+ * tags and a dirty byte per way, plus one replacement word per set —
+ * an MRU bit for 2 ways, a packed recency order for wider sets.
  */
 
 #ifndef CLOUDMC_CPU_CACHE_HH
@@ -66,6 +67,9 @@ struct CacheStats
 class Cache
 {
   public:
+    /** Widest set: its recency word holds one 4-bit way id per way. */
+    static constexpr std::uint32_t kMaxWays = 16;
+
     explicit Cache(const CacheConfig &cfg);
 
     /**
@@ -77,11 +81,25 @@ class Cache
     access(Addr addr, bool isWrite)
     {
         ++stats_.accesses;
-        const Addr tag = tagOf(addr);
-        const std::size_t set = setIndex(addr);
-        if (cfg_.ways == 2)
-            return access2Way(tag, set * 2, isWrite);
-        return accessScan(tag, set, isWrite);
+        if (touchIfPresent(addr, isWrite))
+            return true;
+        ++stats_.misses;
+        return false;
+    }
+
+    /**
+     * access() that only hits: a hit updates LRU, dirty state and
+     * stats exactly as access() does; a miss changes nothing, so the
+     * same access can still run later as a plain access(). The batched
+     * core loop's single lookup per core-private L1 access.
+     */
+    bool
+    accessIfPresent(Addr addr, bool isWrite)
+    {
+        if (!touchIfPresent(addr, isWrite))
+            return false;
+        ++stats_.accesses;
+        return true;
     }
 
     /**
@@ -94,31 +112,13 @@ class Cache
     bool
     contains(Addr addr) const
     {
-        const Addr tag = tagOf(addr);
+        const std::uint32_t tag = tagOf(addr);
         const std::size_t base = setIndex(addr) * cfg_.ways;
         for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
             if (tags_[base + w] == tag)
                 return true;
         }
         return false;
-    }
-
-    /**
-     * Run-length probe: how many consecutive blocks starting at the
-     * block containing @p addr are present, up to @p maxBlocks. Pure
-     * (no LRU or stats side effects) — the cores use it to size
-     * batched runs without issuing per-access lookups.
-     */
-    std::uint32_t
-    probeRun(Addr addr, std::uint32_t maxBlocks) const
-    {
-        Addr block = blockAlign(addr);
-        std::uint32_t n = 0;
-        while (n < maxBlocks && contains(block)) {
-            ++n;
-            block += cfg_.blockBytes;
-        }
-        return n;
     }
 
     /**
@@ -131,12 +131,13 @@ class Cache
     void
     prefetchSet(Addr addr) const
     {
-        const std::size_t base = setIndex(addr) * cfg_.ways;
+        const std::size_t set = setIndex(addr);
+        const std::size_t base = set * cfg_.ways;
+        // A row of 16 tags is 64 bytes but need not start a host line.
         __builtin_prefetch(&tags_[base]);
-        if (cfg_.ways * sizeof(Addr) > 64)
-            __builtin_prefetch(&tags_[base + 64 / sizeof(Addr)]);
-        if (!stamps_.empty())
-            __builtin_prefetch(&stamps_[base]);
+        __builtin_prefetch(&tags_[base + cfg_.ways - 1]);
+        if (!order_.empty())
+            __builtin_prefetch(&order_[set]);
     }
 
     /** Invalidate the block if present; returns true if it was dirty. */
@@ -154,9 +155,9 @@ class Cache
     }
 
   private:
-    /** Tag value marking an invalid way. Real tags are block numbers
-     *  of modelable addresses and can never reach it. */
-    static constexpr Addr kNoTag = ~Addr{0};
+    /** Tag value marking an invalid way. fill() refuses any address
+     *  whose tag would reach it, so every resident tag is exact. */
+    static constexpr std::uint32_t kNoTag = ~std::uint32_t{0};
 
     std::size_t
     setIndex(Addr addr) const
@@ -164,51 +165,84 @@ class Cache
         return static_cast<std::size_t>((addr >> blockShift_) & setMask_);
     }
 
-    Addr tagOf(Addr addr) const { return addr >> blockShift_; }
-
-    /** 2-way hit path: two tag compares, MRU bit update. */
-    bool
-    access2Way(Addr tag, std::size_t base, bool isWrite)
+    /** Set-relative tag: the block number above the set-index bits. */
+    std::uint32_t
+    tagOf(Addr addr) const
     {
-        if (tags_[base] == tag) {
-            mru_[base >> 1] = 0;
-            dirty_[base] |= static_cast<std::uint8_t>(isWrite);
-            return true;
-        }
-        if (tags_[base + 1] == tag) {
-            mru_[base >> 1] = 1;
-            dirty_[base + 1] |= static_cast<std::uint8_t>(isWrite);
-            return true;
-        }
-        ++stats_.misses;
-        return false;
+        return static_cast<std::uint32_t>(addr >> tagShift_);
     }
 
-    bool accessScan(Addr tag, std::size_t set, bool isWrite);
-    CacheAccessResult fill2Way(Addr tag, std::size_t base, bool dirty);
+    /** Block address of the tag @p tag resident in set @p set. */
+    Addr
+    addrOf(std::uint32_t tag, std::size_t set) const
+    {
+        return static_cast<Addr>(tag) << tagShift_ |
+               static_cast<Addr>(set) << blockShift_;
+    }
+
+    void
+    markDirty(std::size_t i, bool isWrite)
+    {
+        dirty_[i] |= static_cast<std::uint8_t>(isWrite);
+    }
+
+    /** The hit half of access(): LRU and dirty updates, no stats. */
+    bool
+    touchIfPresent(Addr addr, bool isWrite)
+    {
+        const std::uint32_t tag = tagOf(addr);
+        const std::size_t set = setIndex(addr);
+        if (cfg_.ways == 2) {
+            // Two tag compares; the MRU bit is the whole LRU order.
+            const std::size_t base = set * 2;
+            std::size_t w;
+            if (tags_[base] == tag)
+                w = 0;
+            else if (tags_[base + 1] == tag)
+                w = 1;
+            else
+                return false;
+            mru_[set] = static_cast<std::uint8_t>(w);
+            markDirty(base + w, isWrite);
+            return true;
+        }
+        // The recency word's first nibble is the most recent way: a
+        // hit there leaves the order as it is.
+        const std::size_t mru = set * cfg_.ways + (order_[set] & 0xF);
+        if (tags_[mru] == tag) {
+            markDirty(mru, isWrite);
+            return true;
+        }
+        return hitScan(tag, set, isWrite);
+    }
+
+    bool hitScan(std::uint32_t tag, std::size_t set, bool isWrite);
+    void touch(std::size_t set, std::uint32_t way);
+    CacheAccessResult fill2Way(std::uint32_t tag, std::size_t set,
+                               bool dirty);
+    CacheAccessResult evict(std::size_t set, std::size_t victim,
+                            std::uint32_t tag, bool dirty);
 
     CacheConfig cfg_;
     unsigned blockShift_;
+    unsigned tagShift_; ///< blockShift_ plus the set-index bits.
     std::uint64_t setMask_;
-    std::uint64_t lruClock_ = 0;
-    // Structure-of-arrays tag store: the hit path touches only the
-    // contiguous tag array (2 cache lines for 16 ways instead of 6
-    // with an array-of-structs layout), which matters because the
-    // simulated hierarchy is far bigger than the host's caches.
-    std::vector<Addr> tags_;            ///< sets x ways; kNoTag = invalid.
-    std::vector<std::uint64_t> stamps_; ///< LRU stamps, same indexing.
-    std::vector<std::uint8_t> dirty_;   ///< Dirty flags, same indexing.
-    /** 2-way fast path: for two ways, true LRU is one MRU bit per set
-     *  (the stamp array is not allocated). mru_[set] = last-touched way. */
+    // Structure-of-arrays tag store: a hit reads the tag row (one or
+    // two host lines for 16 ways), the set's replacement word and the
+    // way's dirty byte.
+    std::vector<std::uint32_t> tags_; ///< sets x ways; kNoTag = invalid.
+    std::vector<std::uint8_t> dirty_; ///< Dirty flags, same indexing.
+    /** 2 ways: true LRU is one MRU bit per set; mru_[set] is the
+     *  last-touched way. */
     std::vector<std::uint8_t> mru_;
     /**
-     * Wider-associativity fast path: the way that last hit (or was
-     * last filled) per set, tried before the full tag scan. A stale
-     * hint falls through to the scan, so hits, misses, stamps and
-     * victims are identical to the hint-less scan — this is a pure
-     * host-speed shortcut for the 16-way LLC.
+     * Wider sets (and 1 way): one recency word per set, 4-bit way ids
+     * most recent first. The first nibble is the hit hint, nibble
+     * ways-1 the LRU victim. Never-touched ways are invalid, and an
+     * invalid way is always the preferred victim, so their order in
+     * the initial word never shows.
      */
-    std::vector<std::uint8_t> wayHint_;
+    std::vector<std::uint64_t> order_;
     CacheStats stats_;
 };
 

@@ -6,8 +6,7 @@ namespace mcsim {
 
 Core::Core(CoreId id, WorkloadGenerator &gen, CacheHierarchy &hierarchy,
            const CoreConfig &cfg)
-    : id_(id), gen_(gen), hierarchy_(hierarchy), cfg_(cfg),
-      l1dBlockBytes_(hierarchy.l1dBlockBytes())
+    : id_(id), gen_(gen), hierarchy_(hierarchy), cfg_(cfg)
 {
     mc_assert(cfg_.mlpWindow >= 1, "MLP window must be >= 1");
 }
@@ -206,7 +205,6 @@ Core::runBatch(CoreCycle limit)
         cycles += s;
         left -= s;
     }
-    probeRunBlocks_ = 0; // L1D contents may have changed since last batch.
     while (left > 0) {
         if (compute > 0 && credits > 0) {
             // Committing tail of a compute run, in bulk: one commit
@@ -230,15 +228,12 @@ Core::runBatch(CoreCycle limit)
                 fetchAddr = gen_.nextFetchBlock(id_);
                 fetchHeld = true;
             }
-            if (!hierarchy_.l1iProbe(id_, fetchAddr)) {
+            if (!hierarchy_.l1i(id_).accessIfPresent(fetchAddr, false)) {
                 // Leaves the L1I: run at the ordered tick. Warm the
                 // host's caches with the L2 set it will scan there.
                 hierarchy_.l2Prefetch(fetchAddr);
                 break;
             }
-            const AccessOutcome out = hierarchy_.ifetch(id_, fetchAddr);
-            mc_assert(out == AccessOutcome::L1Hit,
-                      "probed-hit fetch left the L1I");
             fetchHeld = false;
             credits = cfg_.instrsPerFetchBlock;
             continue; // An L1I-hit fetch shares the consuming cycle.
@@ -254,36 +249,14 @@ Core::runBatch(CoreCycle limit)
             opHeld = false;
             continue; // Committed by the bulk path above.
         }
-        // Load or store: only an L1D hit is core-private. Batched
-        // accesses are all hits and hits never evict, so a probed
-        // window of consecutive present blocks stays valid for the
-        // rest of the batch. Multi-block probes pay off only for
-        // sequential sweeps (the next block extends the window), so
-        // random accesses probe a single block.
-        const Addr addr = op.addr;
-        if (addr - probeRunBase_ >=
-            static_cast<Addr>(probeRunBlocks_) * l1dBlockBytes_) {
-            const Addr block = addr & ~static_cast<Addr>(l1dBlockBytes_ - 1);
-            const bool sequential =
-                probeRunBlocks_ > 0 &&
-                block == probeRunBase_ + static_cast<Addr>(probeRunBlocks_) *
-                                             l1dBlockBytes_;
-            const std::uint32_t run =
-                hierarchy_.l1dProbeRun(id_, addr, sequential ? 8 : 1);
-            if (run == 0) {
-                // Leaves the L1D: run at the ordered tick. Warm the
-                // host's caches with the L2 set it will scan there.
-                hierarchy_.l2Prefetch(addr);
-                break;
-            }
-            probeRunBase_ = block;
-            probeRunBlocks_ = run;
+        // Load or store: only an L1D hit is core-private.
+        const bool store = op.kind == Op::Kind::Store;
+        if (!hierarchy_.l1d(id_).accessIfPresent(op.addr, store)) {
+            // Leaves the L1D: run at the ordered tick. Warm the host's
+            // caches with the L2 set it will scan there.
+            hierarchy_.l2Prefetch(op.addr);
+            break;
         }
-        const AccessOutcome out = op.kind == Op::Kind::Store
-                                      ? hierarchy_.store(id_, addr)
-                                      : hierarchy_.load(id_, addr);
-        mc_assert(out == AccessOutcome::L1Hit,
-                  "probed-hit access left the L1D");
         opHeld = false;
         ++synced;
         ++cycles;

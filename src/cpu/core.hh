@@ -91,8 +91,8 @@ class Core
     /**
      * Batched execution: starting from the just-ticked state, execute
      * the run of upcoming cycles whose instructions are provably
-     * core-private — L1I/L1D hits (checked with pure probes before
-     * each access), compute-run commits, and workload draws the
+     * core-private — L1I/L1D hits (one lookup each, which changes
+     * nothing on a miss), compute-run commits, and workload draws the
      * generator confirms touch no shared state. The run ends at the
      * first instruction that would reach the L2 or the shared
      * streaming frontier (it stays latched for this core's next
@@ -185,14 +185,6 @@ class Core
     CoreConfig cfg_;
 
     ExecState x_;
-
-    /** L1D run-length probe memo: blocks in
-     *  [probeRunBase_, probeRunBase_ + probeRunBlocks_ blocks) were
-     *  seen present this batch. Batched accesses are all hits and
-     *  hits never evict, so the memo stays valid for a whole batch. */
-    Addr probeRunBase_ = 0;
-    std::uint32_t probeRunBlocks_ = 0;
-    std::uint32_t l1dBlockBytes_;
 
     CoreStats stats_;
 };

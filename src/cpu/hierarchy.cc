@@ -6,13 +6,12 @@ namespace mcsim {
 
 CacheHierarchy::CacheHierarchy(std::uint32_t numCores,
                                const HierarchyConfig &cfg)
-    : cfg_(cfg)
 {
     for (std::uint32_t c = 0; c < numCores; ++c) {
-        l1i_.push_back(std::make_unique<Cache>(cfg_.l1i));
-        l1d_.push_back(std::make_unique<Cache>(cfg_.l1d));
+        l1i_.push_back(std::make_unique<Cache>(cfg.l1i));
+        l1d_.push_back(std::make_unique<Cache>(cfg.l1d));
     }
-    l2_ = std::make_unique<Cache>(cfg_.l2);
+    l2_ = std::make_unique<Cache>(cfg.l2);
 }
 
 void

@@ -113,41 +113,6 @@ class CacheHierarchy
     }
 
     /**
-     * Pure L1D probe: would a load/store from @p core hit its L1?
-     * No LRU, stats, or L2 side effects — the batched core loop uses
-     * this to decide whether the next access is core-private before
-     * executing it ahead of the global cycle order.
-     */
-    bool
-    l1dProbe(CoreId core, Addr addr) const
-    {
-        const Cache &l1 = *l1d_[core];
-        return l1.contains(l1.blockAlign(addr));
-    }
-
-    /** Pure L1I probe (see l1dProbe). */
-    bool
-    l1iProbe(CoreId core, Addr addr) const
-    {
-        const Cache &l1 = *l1i_[core];
-        return l1.contains(l1.blockAlign(addr));
-    }
-
-    /**
-     * Run-length L1D probe: how many consecutive blocks starting at
-     * the one containing @p addr are present, up to @p maxBlocks.
-     * Pure, like l1dProbe.
-     */
-    std::uint32_t
-    l1dProbeRun(CoreId core, Addr addr, std::uint32_t maxBlocks) const
-    {
-        return l1d_[core]->probeRun(addr, maxBlocks);
-    }
-
-    /** L1D block size, for the cores' probe-run bookkeeping. */
-    std::uint32_t l1dBlockBytes() const { return cfg_.l1d.blockBytes; }
-
-    /**
      * Host-side prefetch of the L2 set @p addr maps to (see
      * Cache::prefetchSet). Called when a batched core latches an
      * access that will reach the L2 at its next ordered tick.
@@ -190,7 +155,6 @@ class CacheHierarchy
                            bool isWrite);
     void writebackToMemory(CoreId core, Addr blockAddr);
 
-    HierarchyConfig cfg_;
     std::vector<std::unique_ptr<Cache>> l1i_;
     std::vector<std::unique_ptr<Cache>> l1d_;
     std::unique_ptr<Cache> l2_;

@@ -120,6 +120,13 @@ TraceWorkload::TraceWorkload(const std::string &path)
             mc_fatal("trace '", path, "' record ", totalRecords_,
                      " has unknown op kind ", unsigned{fr.kind});
         }
+        if (fr.addr >> kAddrBits) {
+            std::fclose(f);
+            mc_fatal("trace '", path, "' record ", totalRecords_,
+                     " has address 0x", std::hex, fr.addr,
+                     ", beyond the modelled ", std::dec, kAddrBits,
+                     "-bit address space");
+        }
         ++totalRecords_;
         if (fetch) {
             cores_[fr.core].fetches.push_back(fr.addr);

@@ -225,6 +225,27 @@ TEST(TraceDeathTest, LoaderRejectsCoreCountBeyond16Bits)
     std::remove(path.c_str());
 }
 
+TEST(TraceDeathTest, LoaderRejectsAddressBeyondModelledWidth)
+{
+    // The caches keep 32-bit set-relative tags, exact only below
+    // 2^kAddrBits; a larger address would alias a lower block.
+    const std::string path = tempTracePath("hugeaddr");
+    const Addr limit = Addr{1} << kAddrBits;
+    writeRawTrace(path, 1, {{1, 0, 0, 1, limit - 64}, {0, 1, 0, 1, limit}});
+    EXPECT_EXIT(TraceWorkload replay(path), ::testing::ExitedWithCode(1),
+                "record 1 has address 0x200000000000, beyond the modelled "
+                "45-bit address space");
+    // Fetch records are checked too.
+    writeRawTrace(path, 1, {{1, 0, 0, 1, ~Addr{0}}});
+    EXPECT_EXIT(TraceWorkload replay(path), ::testing::ExitedWithCode(1),
+                "record 0 has address 0xffffffffffffffff");
+    // The last block below the limit still loads.
+    writeRawTrace(path, 1, {{0, 1, 0, 1, limit - 64}});
+    TraceWorkload replay(path);
+    EXPECT_EQ(replay.numRecords(), 1u);
+    std::remove(path.c_str());
+}
+
 TEST(Trace, IntactFileStillLoadsAfterTruncationCheck)
 {
     const std::string path = tempTracePath("intact");
