@@ -9,7 +9,12 @@
  *    the way the batched core loop pulls it — tryNextOpLocal(), and
  *    nextOp() after a refusal (refused_pct counts those).
  *  - fetch/<WL>: one nextFetchBlock() call, round-robin likewise.
- *  - zipf_draw/<items>/<theta x 100>: one ZipfianGenerator::sample().
+ *  - zipf_draw/<items>/<theta x 100>: one ZipfianGenerator::sample()
+ *    on each distinct shape the presets' hot regions and code streams
+ *    draw from, plus one cold region's (2^24 blocks, theta 0.25).
+ *    The label says whether the generator keeps its bucket memo; the
+ *    cold shape keeps none and must cost what a plain closed-form
+ *    draw does.
  *
  * The generators are built over the Table 2 baseline's DRAM capacity,
  * as System builds them.
@@ -18,7 +23,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <set>
 #include <string>
+#include <utility>
 
 #include "common/random.hh"
 #include "sim/sim_config.hh"
@@ -70,29 +77,44 @@ fetchCalls(benchmark::State &state, WorkloadId id)
 }
 
 void
-zipfDraw(benchmark::State &state)
+zipfDraw(benchmark::State &state, std::uint64_t items, double theta)
 {
-    const ZipfianGenerator zipf(static_cast<std::uint64_t>(state.range(0)),
-                                static_cast<double>(state.range(1)) / 100);
+    const ZipfianGenerator zipf(items, theta);
     Pcg32 rng(1, 0x21bf);
     for (auto _ : state)
         benchmark::DoNotOptimize(zipf.sample(rng));
+    state.SetLabel(zipf.memoized() ? "memo" : "no memo");
 }
 
 } // namespace
 
-// The code stream's default (64 Ki blocks of 4 MiB, theta 0.45) and a
-// hot data region's (64 MiB of blocks, theta 0.85).
-BENCHMARK(zipfDraw)->Args({1 << 16, 45})->Args({1 << 20, 85});
-
 int
 main(int argc, char **argv)
 {
+    std::set<std::pair<std::uint64_t, double>> shapes;
     for (const WorkloadId id : kAllWorkloads) {
         const std::string wl = workloadAcronym(id);
         benchmark::RegisterBenchmark(("op/" + wl).c_str(), opCalls, id);
         benchmark::RegisterBenchmark(("fetch/" + wl).c_str(), fetchCalls,
                                      id);
+        const WorkloadParams p = workloadPreset(id);
+        shapes.insert({SyntheticWorkload::blocksFor(p.codeFootprintBytes),
+                       p.codeZipfTheta});
+        for (const RegionSpec &r : p.regions) {
+            if (r.seqBurstBlocks == 0 && r.spreadFactor > 1) { // hot()
+                shapes.insert({SyntheticWorkload::blocksFor(
+                                   r.footprintBytes * r.spreadFactor) /
+                                   r.spreadFactor,
+                               r.zipfTheta});
+            }
+        }
+    }
+    shapes.insert({std::uint64_t{1} << 24, 0.25});
+    for (const auto &[items, theta] : shapes) {
+        const std::string name =
+            "zipf_draw/" + std::to_string(items) + "/" +
+            std::to_string(static_cast<int>(theta * 100 + 0.5));
+        benchmark::RegisterBenchmark(name.c_str(), zipfDraw, items, theta);
     }
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))

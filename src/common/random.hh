@@ -38,6 +38,7 @@ class Pcg32
     {
         state_ = 0;
         inc_ = (stream << 1) | 1u;
+        inc2_ = inc_ * (kMult + 1);
         nextU32();
         state_ += seed;
         nextU32();
@@ -48,18 +49,23 @@ class Pcg32
     nextU32()
     {
         const std::uint64_t old = state_;
-        state_ = old * 6364136223846793005ULL + inc_;
-        const auto xorshifted =
-            static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
-        const auto rot = static_cast<std::uint32_t>(old >> 59u);
-        return (xorshifted >> rot) | (xorshifted << ((-rot) & 31));
+        state_ = old * kMult + inc_;
+        return output(old);
     }
 
-    /** Next raw 64-bit value. */
+    /**
+     * Next raw 64-bit value: two nextU32() outputs, the first in the
+     * high half. Both states follow from the current one (s1 = a*s0 + c,
+     * s2 = a^2*s0 + c*(a+1)), so the two multiplies run side by side
+     * instead of one after the other.
+     */
     std::uint64_t
     nextU64()
     {
-        return (static_cast<std::uint64_t>(nextU32()) << 32) | nextU32();
+        const std::uint64_t s0 = state_;
+        state_ = s0 * kMult2 + inc2_;
+        const std::uint64_t s1 = s0 * kMult + inc_;
+        return (static_cast<std::uint64_t>(output(s0)) << 32) | output(s1);
     }
 
     /** Uniform integer in [0, bound) using Lemire rejection. */
@@ -98,23 +104,47 @@ class Pcg32
     }
 
     /** Uniform double in [0, 1). */
-    double
-    nextDouble()
+    double nextDouble() { return toUnit(nextU64() >> 11); }
+
+    /** The double nextDouble() returns for the 53 drawn bits @p bits. */
+    static double
+    toUnit(std::uint64_t bits)
     {
-        return (nextU64() >> 11) * (1.0 / 9007199254740992.0);
+        return static_cast<double>(bits) * (1.0 / 9007199254740992.0);
     }
 
     /** Bernoulli draw with probability @p p. */
     bool chance(double p) { return nextDouble() < p; }
 
   private:
+    static constexpr std::uint64_t kMult = 6364136223846793005ULL;
+    static constexpr std::uint64_t kMult2 = kMult * kMult; ///< mod 2^64
+
+    /** XSH-RR output permutation of the pre-step state @p old. */
+    static std::uint32_t
+    output(std::uint64_t old)
+    {
+        const auto xorshifted =
+            static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
+        const auto rot = static_cast<std::uint32_t>(old >> 59u);
+        return (xorshifted >> rot) | (xorshifted << ((-rot) & 31));
+    }
+
     std::uint64_t state_ = 0;
     std::uint64_t inc_ = 0;
+    std::uint64_t inc2_ = 0; ///< inc_ * (kMult + 1), two steps' increment.
 };
 
 /**
  * Zipfian sampler over [0, n) with skew parameter theta, using the
  * Gray et al. computation popularized by YCSB. Item 0 is the hottest.
+ *
+ * A skewed draw maps 53 uniform bits to an item through one std::pow.
+ * Where the distribution is steep enough for whole 1/4096 slices of
+ * the unit interval to map to one item, a bucket memo answers those
+ * draws without the pow; see itemAt(). The memo fills on first touch
+ * from const sample(), so one generator serves one thread at a time,
+ * like the Pcg32 streams it is drawn with.
  */
 class ZipfianGenerator
 {
@@ -129,11 +159,31 @@ class ZipfianGenerator
     /** Draw one item index in [0, n). */
     std::uint64_t sample(Pcg32 &rng) const;
 
+    /**
+     * The item a skewed generator (theta > 0) returns for the 53-bit
+     * uniform draw @p bits; sample() passes rng.nextU64() >> 11.
+     */
+    std::uint64_t itemAt(std::uint64_t bits) const;
+
     std::uint64_t numItems() const { return n_; }
     double theta() const { return theta_; }
+    /** Whether skewed draws consult the bucket memo. */
+    bool memoized() const { return memoized_; }
 
   private:
+    /** The memo keys on the top kBucketBits of the 53 drawn bits. */
+    static constexpr int kBucketBits = 12;
+    static constexpr int kBucketShift = 53 - kBucketBits;
+    static constexpr std::uint32_t kUnclassified = ~0u;
+    static constexpr std::uint32_t kImpure = ~0u - 1;
+
     static double zeta(std::uint64_t n, double theta);
+    /** n * (eta*u - eta + 1)^alpha, the closed form before flooring. */
+    double scaledPow(double u) const;
+    /** Gray et al.'s formula for the draw @p bits, without the memo. */
+    std::uint64_t closedForm(std::uint64_t bits) const;
+    /** The one item every draw of @p bucket maps to, else kImpure. */
+    std::uint32_t classify(std::uint64_t bucket) const;
 
     std::uint64_t n_;
     double theta_;
@@ -141,6 +191,10 @@ class ZipfianGenerator
     double zetan_;
     double eta_;
     double halfPowTheta_; ///< pow(0.5, theta), hoisted out of sample().
+    bool memoized_ = false;
+    /** Per-bucket item, kUnclassified or kImpure; allocated by the
+     *  first draw, so construction pays nothing for it. */
+    mutable std::vector<std::uint32_t> memo_;
 };
 
 } // namespace mcsim

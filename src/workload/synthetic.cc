@@ -62,15 +62,10 @@ SyntheticWorkload::SyntheticWorkload(const WorkloadParams &params,
     mc_assert(params_.cores >= 1, "workload needs at least one core");
 
     // Lay out code, then the data regions, packed from the bottom of
-    // the address space. Footprints round up to power-of-two blocks so
-    // the scramble permutation stays bijective.
+    // the address space.
     Addr cursor = 0;
     auto reserve = [&](std::uint64_t bytes) {
-        const std::uint64_t blocks = std::max<std::uint64_t>(
-            1, (bytes + kBlockBytes - 1) / kBlockBytes);
-        const std::uint64_t rounded = isPowerOf2(blocks)
-                                          ? blocks
-                                          : (1ull << ceilLog2(blocks));
+        const std::uint64_t rounded = blocksFor(bytes);
         const Addr base = cursor;
         cursor += rounded * kBlockBytes;
         return std::make_pair(base, rounded);
@@ -129,6 +124,14 @@ SyntheticWorkload::SyntheticWorkload(const WorkloadParams &params,
         cs.codeBlock = scrambleIndex(c * 977, codeBlockMask_);
         rebuildRunThresh(cs);
     }
+}
+
+std::uint64_t
+SyntheticWorkload::blocksFor(std::uint64_t bytes)
+{
+    const std::uint64_t blocks =
+        std::max<std::uint64_t>(1, (bytes + kBlockBytes - 1) / kBlockBytes);
+    return isPowerOf2(blocks) ? blocks : (1ull << ceilLog2(blocks));
 }
 
 double
@@ -236,8 +239,14 @@ SyntheticWorkload::runLength(const CoreState &cs, double u) const
     // per-op log1p()+divide; draws within kRunMargin of a boundary
     // (where the table and the closed form could round differently)
     // fall through to the original formula, keeping results
-    // bit-identical to it.
-    for (std::size_t k = 0; k < kRunLevels; ++k) {
+    // bit-identical to it. The thresholds rise with k, so the first k
+    // with u below runThresh[k] - kRunMargin is the count of those at
+    // or below u: the first kCountedLevels are counted without a
+    // branch, and only runs at least that long scan on.
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < kCountedLevels; ++i)
+        k += cs.runThresh[i] - kRunMargin <= u;
+    for (; k < kRunLevels; ++k) {
         if (u < cs.runThresh[k] - kRunMargin) {
             if (k > 0 && u < cs.runThresh[k - 1] + kRunMargin)
                 break;

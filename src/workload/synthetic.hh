@@ -144,10 +144,22 @@ class SyntheticWorkload : public WorkloadGenerator
     /** Effective memory intensity multiplier of @p core. */
     double intensityOf(CoreId core) const;
 
+    /**
+     * The 64-byte blocks a footprint of @p bytes reserves, rounded up
+     * to a power of two so the scramble permutation stays bijective.
+     * A random region draws over blocksFor(footprintBytes *
+     * spreadFactor) / spreadFactor items, the code stream over
+     * blocksFor(codeFootprintBytes).
+     */
+    static std::uint64_t blocksFor(std::uint64_t bytes);
+
   private:
     /** Geometric run-length fast path: CDF boundaries precomputed up
      *  to this run length; longer runs fall back to the log formula. */
     static constexpr std::size_t kRunLevels = 64;
+    /** runLength() counts the thresholds below this level without a
+     *  branch; longer runs scan on from here. */
+    static constexpr std::size_t kCountedLevels = 8;
     /** Draws within this distance of a CDF boundary also fall back,
      *  so the fast path is bit-identical to the closed form. */
     static constexpr double kRunMargin = 1e-9;

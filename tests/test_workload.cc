@@ -239,3 +239,48 @@ TEST(Presets, CategoriesPartitionWorkloads)
     EXPECT_EQ(total, kAllWorkloads.size());
     EXPECT_EQ(workloadsInCategory(WorkloadCategory::ScaleOut).size(), 6u);
 }
+
+TEST(Synthetic, PresetStreamsArePinned)
+{
+    // Every preset's first 2*10^5 ops and fetch blocks, pulled round
+    // robin over its cores the way Core::runBatch pulls them: a fetch
+    // block, then an op through tryNextOpLocal(), or nextOp() when it
+    // refuses. Recorded before the generator's fast paths (Zipf bucket
+    // memo, two-step Pcg32::nextU64, branch-free run lengths), which
+    // must not move a single draw.
+    const std::uint64_t pinned[] = {
+        0x35b63661340c0a9eULL, // DS
+        0x1ed77e915f90d87bULL, // MR
+        0xc89e60087ad49179ULL, // SS
+        0x2daef2a5c69c0990ULL, // WF
+        0xf690df6aae66af12ULL, // WS
+        0x69d2fe2facaf2f8bULL, // MS
+        0xf525080826487908ULL, // WSPEC99
+        0x241e2c3438228515ULL, // TPC-C1
+        0x1d95636fb29fdc8fULL, // TPC-C2
+        0x251dd4fdbff4741aULL, // TPC-H Q2
+        0x8ea898a7144f633cULL, // TPC-H Q6
+        0x1356db9a24844560ULL, // TPC-H Q17
+    };
+    static_assert(sizeof pinned / sizeof pinned[0] == kAllWorkloads.size());
+    for (std::size_t w = 0; w < kAllWorkloads.size(); ++w) {
+        SyntheticWorkload gen(workloadPreset(kAllWorkloads[w]), kSpace);
+        const std::uint32_t cores = gen.params().cores;
+        std::uint64_t h = 0xcbf29ce484222325ULL;
+        auto fold = [&h](std::uint64_t v) {
+            h ^= v;
+            h *= 0x100000001b3ULL;
+        };
+        for (std::uint32_t i = 0; i < 200000; ++i) {
+            const CoreId core = i % cores;
+            fold(gen.nextFetchBlock(core));
+            Op op;
+            if (!gen.tryNextOpLocal(core, op))
+                op = gen.nextOp(core);
+            fold(static_cast<std::uint64_t>(op.kind));
+            fold(op.kind == Op::Kind::Compute ? op.length : op.addr);
+        }
+        EXPECT_EQ(h, pinned[w]) << gen.name() << ": got 0x" << std::hex
+                                << h;
+    }
+}
