@@ -165,7 +165,6 @@ class ZipfianGenerator
      */
     std::uint64_t itemAt(std::uint64_t bits) const;
 
-    std::uint64_t numItems() const { return n_; }
     double theta() const { return theta_; }
     /** Whether skewed draws consult the bucket memo. */
     bool memoized() const { return memoized_; }

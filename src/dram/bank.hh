@@ -53,16 +53,12 @@ class Bank
     /** Tick of the most recent column access (for timer policies). */
     Tick lastAccessAt() const { return lastAccessAt_; }
 
-    /** Tick of the activate that opened the current row. */
-    Tick activatedAt() const { return activatedAt_; }
-
     /** Apply an activate issued at @p now. */
     void
     activate(std::uint64_t row, Tick now, TickSpan rcdTicks,
              TickSpan rasTicks, TickSpan rcTicks)
     {
         openRow_ = row;
-        activatedAt_ = now;
         lastAccessAt_ = now;
         accesses_ = 0;
         raise(DramCommandType::Read, now + rcdTicks);
@@ -120,7 +116,6 @@ class Bank
     /** Gates indexed by DramCommandType: ACT, RD, WR, PRE. */
     Tick allowedAt_[4];
     Tick lastAccessAt_;
-    Tick activatedAt_;
 };
 
 } // namespace mcsim

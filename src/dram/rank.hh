@@ -35,10 +35,6 @@ class Rank
     {
         return static_cast<std::uint32_t>(banks_.size());
     }
-    std::uint32_t numGroups() const
-    {
-        return static_cast<std::uint32_t>(groupRrdAllowedAt_.size());
-    }
 
     /** Earliest tick an activate may issue to a bank of @p group. */
     Tick

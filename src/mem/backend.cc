@@ -15,20 +15,6 @@
 namespace mcsim {
 
 const char *
-memBackendKindName(MemBackendKind k)
-{
-    switch (k) {
-      case MemBackendKind::FlatDram:
-        return "flat";
-      case MemBackendKind::StackedDram:
-        return "stacked";
-      case MemBackendKind::Tiered:
-        return "tiered";
-    }
-    return "?";
-}
-
-const char *
 tierPolicyName(TierPolicy p)
 {
     switch (p) {

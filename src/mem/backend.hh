@@ -70,8 +70,6 @@ enum class MemBackendKind : std::uint8_t {
     Tiered,
 };
 
-const char *memBackendKindName(MemBackendKind k);
-
 /** Placement/migration policy of the tiered backend. */
 enum class TierPolicy : std::uint8_t {
     /** Fixed placement: a tier_capacity_pct share of tiles is fast,

@@ -124,13 +124,6 @@ struct MetricSet
     std::uint64_t measuredCycles = 0;
     std::uint64_t memReads = 0;
     std::uint64_t memWrites = 0;
-
-    /** Total DRAM accesses (the Web Frontend channel analysis). */
-    std::uint64_t
-    totalMemAccesses() const
-    {
-        return memReads + memWrites;
-    }
 };
 
 /**

@@ -17,10 +17,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <vector>
-
-#include "dram/channel.hh"
+#include "dram/command_log.hh"
 #include "dram/devices.hh"
 #include "sim/system.hh"
 #include "workload/presets.hh"
@@ -40,45 +37,10 @@ smallConfig(const char *device)
     return cfg;
 }
 
-/** Every metric must match to the last bit, not approximately. */
-void
-expectIdentical(const MetricSet &ev, const MetricSet &ref)
-{
-    EXPECT_EQ(ev.userIpc, ref.userIpc);
-    EXPECT_EQ(ev.avgReadLatency, ref.avgReadLatency);
-    EXPECT_EQ(ev.readLatencyP99, ref.readLatencyP99);
-    EXPECT_EQ(ev.rowHitRatePct, ref.rowHitRatePct);
-    EXPECT_EQ(ev.l2Mpki, ref.l2Mpki);
-    EXPECT_EQ(ev.bwUtilPct, ref.bwUtilPct);
-    EXPECT_EQ(ev.committedInstructions, ref.committedInstructions);
-    EXPECT_EQ(ev.measuredCycles, ref.measuredCycles);
-    EXPECT_EQ(ev.memReads, ref.memReads);
-    EXPECT_EQ(ev.memWrites, ref.memWrites);
-    ASSERT_EQ(ev.perCoreIpc.size(), ref.perCoreIpc.size());
-    for (std::size_t i = 0; i < ev.perCoreIpc.size(); ++i) {
-        EXPECT_EQ(ev.perCoreIpc[i], ref.perCoreIpc[i]);
-        EXPECT_EQ(ev.perCoreCommitted[i], ref.perCoreCommitted[i]);
-        EXPECT_EQ(ev.perCoreCycles[i], ref.perCoreCycles[i]);
-    }
-}
-
-struct TraceEntry
-{
-    DramCommandType type;
-    std::uint32_t rank, bank;
-    Tick tick;
-    bool
-    operator==(const TraceEntry &o) const
-    {
-        return type == o.type && rank == o.rank && bank == o.bank &&
-               tick == o.tick;
-    }
-};
-
 struct TracedRun
 {
     MetricSet metrics;
-    std::vector<TraceEntry> trace;
+    CommandLog log;
     KernelStats kernel;
     Tick end{};
 };
@@ -89,10 +51,7 @@ runTraced(const SimConfig &cfg, WorkloadId wl, bool reference)
     System sys(cfg, workloadPreset(wl));
     sys.useReferenceKernel(reference);
     TracedRun r;
-    sys.controller(0).channel().setCommandHook(
-        [&r](const DramCommand &cmd, Tick now) {
-            r.trace.push_back({cmd.type, cmd.rank, cmd.bank, now});
-        });
+    r.log.attachAll(sys);
     r.metrics = sys.run();
     r.kernel = sys.kernelStats();
     r.end = sys.now();
@@ -103,18 +62,11 @@ runTraced(const SimConfig &cfg, WorkloadId wl, bool reference)
 TracedRun
 expectEquivalent(const SimConfig &cfg, WorkloadId wl)
 {
-    const TracedRun ev = runTraced(cfg, wl, false);
+    TracedRun ev = runTraced(cfg, wl, false);
     const TracedRun ref = runTraced(cfg, wl, true);
     EXPECT_EQ(ev.end, ref.end);
-    expectIdentical(ev.metrics, ref.metrics);
-    EXPECT_EQ(ev.trace.size(), ref.trace.size());
-    const std::size_t n = std::min(ev.trace.size(), ref.trace.size());
-    for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_TRUE(ev.trace[i] == ref.trace[i])
-            << "command " << i << " diverges";
-        if (!(ev.trace[i] == ref.trace[i]))
-            break;
-    }
+    EXPECT_STREQ(firstDifferentMetric(ev.metrics, ref.metrics), nullptr);
+    EXPECT_EQ(ev.log.firstDivergence(ref.log), "");
     return ev;
 }
 
@@ -169,12 +121,8 @@ TEST_P(BatchBoundary, RefreshStallsStayBitIdentical)
     cfg.refreshEnabled = true;
     cfg.measureCoreCycles = 150'000; // Spans several tREFI periods.
     const TracedRun ev = expectEquivalent(cfg, WorkloadId::WS);
-    std::size_t refreshes = 0;
-    for (const TraceEntry &e : ev.trace) {
-        if (e.type == DramCommandType::Refresh)
-            ++refreshes;
-    }
-    EXPECT_GT(refreshes, 0u) << "trace never exercised a refresh";
+    EXPECT_GT(ev.log.count(DramCommandType::Refresh), 0u)
+        << "trace never exercised a refresh";
     EXPECT_GT(ev.kernel.coreCyclesBatched, 0u);
 }
 
@@ -190,19 +138,25 @@ TEST_P(BatchBoundary, WindowEndClampsBatches)
     System ev(cfg, workloadPreset(WorkloadId::WS));
     System ref(cfg, workloadPreset(WorkloadId::WS));
     ref.useReferenceKernel(true);
+    CommandLog evLog, refLog;
+    evLog.attachAll(ev);
+    refLog.attachAll(ref);
     for (const std::uint64_t chunk :
          {std::uint64_t{9973}, std::uint64_t{1}, std::uint64_t{2},
           std::uint64_t{15013}, std::uint64_t{3}, std::uint64_t{30011}}) {
         ev.advance(chunk);
         ref.advance(chunk);
         ASSERT_EQ(ev.now(), ref.now());
-        expectIdentical(ev.collect(), ref.collect());
+        EXPECT_STREQ(firstDifferentMetric(ev.collect(), ref.collect()),
+                     nullptr);
     }
     ev.resetStats();
     ref.resetStats();
     ev.advance(50'000);
     ref.advance(50'000);
-    expectIdentical(ev.collect(), ref.collect());
+    EXPECT_STREQ(firstDifferentMetric(ev.collect(), ref.collect()),
+                 nullptr);
+    EXPECT_EQ(evLog.firstDivergence(refLog), "");
     EXPECT_GT(ev.kernelStats().coreCyclesBatched, 0u);
 }
 

@@ -34,6 +34,7 @@
 #include <variant>
 #include <vector>
 
+#include "dram/command_log.hh"
 #include "dram/devices.hh"
 #include "mem/factory.hh"
 #include "sim/metrics.hh"
@@ -79,26 +80,22 @@ GoldenRun
 goldenRun(const SimConfig &cfg)
 {
     System sys(cfg, workloadPreset(WorkloadId::TPCHQ6));
-    std::vector<Fnv1a> perCh(sys.numControllers());
-    std::vector<std::uint64_t> cmds(sys.numControllers(), 0);
-    for (std::uint32_t ch = 0; ch < sys.numControllers(); ++ch) {
-        sys.controller(ch).channel().setCommandHook(
-            [&perCh, &cmds, ch](const DramCommand &cmd, Tick now) {
-                Fnv1a &h = perCh[ch];
-                h.add(static_cast<std::uint8_t>(cmd.type));
-                h.add(cmd.rank);
-                h.add(cmd.bank);
-                h.add(cmd.row);
-                h.add(cmd.column);
-                h.add(now.count());
-                ++cmds[ch];
-            });
-    }
+    CommandLog log;
+    log.attachAll(sys);
     const MetricSet m = sys.run();
     Fnv1a h;
-    for (std::uint32_t ch = 0; ch < sys.numControllers(); ++ch) {
-        h.add(cmds[ch]);
-        h.add(perCh[ch].value());
+    for (const CommandLog::ChannelLog &channel : log.channels) {
+        Fnv1a trace;
+        for (const CommandLog::Entry &e : channel.entries) {
+            trace.add(static_cast<std::uint8_t>(e.cmd.type));
+            trace.add(e.cmd.rank);
+            trace.add(e.cmd.bank);
+            trace.add(e.cmd.row);
+            trace.add(e.cmd.column);
+            trace.add(e.tick.count());
+        }
+        h.add(static_cast<std::uint64_t>(channel.entries.size()));
+        h.add(trace.value());
     }
     for (const MetricField &f : metricFields()) {
         std::visit(

@@ -3,8 +3,9 @@
  * Event-scheduled kernel tests: the idle-skip kernel must produce
  * bit-identical results to the tick-by-tick reference loop across
  * every scheduler, page policy, refresh setting and IO-enabled
- * workload; the kernel must never skip past a refresh deadline or a
- * crossbar-latch delivery (checked via exact command traces); and
+ * workload, metric for metric (firstDifferentMetric) and command for
+ * command on every channel (CommandLog), so the kernel never skips
+ * past a refresh deadline or a crossbar-latch delivery; and
  * Channel::nextLegalAt must agree with canIssue() constraint for
  * constraint.
  */
@@ -13,9 +14,9 @@
 
 #include <cctype>
 #include <string>
-#include <vector>
 
 #include "dram/channel.hh"
+#include "dram/command_log.hh"
 #include "sim/system.hh"
 #include "workload/presets.hh"
 
@@ -32,44 +33,25 @@ smallConfig()
     return cfg;
 }
 
-/** Every metric must match to the last bit, not approximately. */
-void
-expectIdentical(const MetricSet &ev, const MetricSet &ref)
-{
-    EXPECT_EQ(ev.userIpc, ref.userIpc);
-    EXPECT_EQ(ev.avgReadLatency, ref.avgReadLatency);
-    EXPECT_EQ(ev.readLatencyP50, ref.readLatencyP50);
-    EXPECT_EQ(ev.readLatencyP95, ref.readLatencyP95);
-    EXPECT_EQ(ev.readLatencyP99, ref.readLatencyP99);
-    EXPECT_EQ(ev.rowHitRatePct, ref.rowHitRatePct);
-    EXPECT_EQ(ev.l2Mpki, ref.l2Mpki);
-    EXPECT_EQ(ev.avgReadQueue, ref.avgReadQueue);
-    EXPECT_EQ(ev.avgWriteQueue, ref.avgWriteQueue);
-    EXPECT_EQ(ev.bwUtilPct, ref.bwUtilPct);
-    EXPECT_EQ(ev.singleAccessPct, ref.singleAccessPct);
-    EXPECT_EQ(ev.sameGroupCasPct, ref.sameGroupCasPct);
-    EXPECT_EQ(ev.ipcDisparity, ref.ipcDisparity);
-    EXPECT_EQ(ev.dramEnergyNj, ref.dramEnergyNj);
-    EXPECT_EQ(ev.dramAvgPowerMw, ref.dramAvgPowerMw);
-    EXPECT_EQ(ev.committedInstructions, ref.committedInstructions);
-    EXPECT_EQ(ev.measuredCycles, ref.measuredCycles);
-    EXPECT_EQ(ev.memReads, ref.memReads);
-    EXPECT_EQ(ev.memWrites, ref.memWrites);
-    ASSERT_EQ(ev.perCoreIpc.size(), ref.perCoreIpc.size());
-    for (std::size_t i = 0; i < ev.perCoreIpc.size(); ++i)
-        EXPECT_EQ(ev.perCoreIpc[i], ref.perCoreIpc[i]);
-}
-
-void
+/**
+ * Run @p wl on the event kernel and on the reference loop: every
+ * metric, the end tick and every channel's command stream must match.
+ * Returns the event run's command log.
+ */
+CommandLog
 runBothAndCompare(const SimConfig &cfg, WorkloadId wl)
 {
     System ev(cfg, workloadPreset(wl));
     System ref(cfg, workloadPreset(wl));
     ref.useReferenceKernel(true);
+    CommandLog evLog, refLog;
+    evLog.attachAll(ev);
+    refLog.attachAll(ref);
     const MetricSet me = ev.run();
-    const MetricSet mr = ref.run();
-    expectIdentical(me, mr);
+    EXPECT_STREQ(firstDifferentMetric(me, ref.run()), nullptr);
     EXPECT_EQ(ev.now(), ref.now());
+    EXPECT_EQ(evLog.firstDivergence(refLog), "");
+    return evLog;
 }
 
 } // namespace
@@ -202,6 +184,9 @@ TEST(EventKernel, IncrementalAdvanceMatches)
     System ev(cfg, workloadPreset(WorkloadId::WS));
     System ref(cfg, workloadPreset(WorkloadId::WS));
     ref.useReferenceKernel(true);
+    CommandLog evLog, refLog;
+    evLog.attachAll(ev);
+    refLog.attachAll(ref);
     for (int chunk = 0; chunk < 8; ++chunk) {
         ev.advance(7'501); // Deliberately ragged chunks.
         ref.advance(7'501);
@@ -211,7 +196,9 @@ TEST(EventKernel, IncrementalAdvanceMatches)
     ref.resetStats();
     ev.advance(40'000);
     ref.advance(40'000);
-    expectIdentical(ev.collect(), ref.collect());
+    EXPECT_STREQ(firstDifferentMetric(ev.collect(), ref.collect()),
+                 nullptr);
+    EXPECT_EQ(evLog.firstDivergence(refLog), "");
 }
 
 /**
@@ -222,47 +209,18 @@ TEST(EventKernel, IncrementalAdvanceMatches)
  */
 namespace {
 
-struct TraceEntry
-{
-    DramCommandType type;
-    std::uint32_t rank, bank;
-    Tick tick;
-    bool operator==(const TraceEntry &o) const
-    {
-        return type == o.type && rank == o.rank && bank == o.bank &&
-               tick == o.tick;
-    }
-};
-
-/** Run DS on both kernels and require identical command streams. */
+/** Run DS on both kernels over several tREFI periods. */
 void
 expectTraceIdentical(const char *device)
 {
-    auto trace = [device](bool reference) {
-        SimConfig cfg = smallConfig();
-        if (device)
-            cfg.applyDevice(dramDeviceOrDie(device));
-        cfg.measureCoreCycles = 200'000; // Spans several tREFI periods.
-        System sys(cfg, workloadPreset(WorkloadId::DS));
-        sys.useReferenceKernel(reference);
-        std::vector<TraceEntry> out;
-        sys.controller(0).channel().setCommandHook(
-            [&out](const DramCommand &cmd, Tick now) {
-                out.push_back({cmd.type, cmd.rank, cmd.bank, now});
-            });
-        (void)sys.run();
-        return out;
-    };
-    const auto ev = trace(false);
-    const auto ref = trace(true);
-    ASSERT_EQ(ev.size(), ref.size());
-    std::size_t refreshes = 0;
-    for (std::size_t i = 0; i < ev.size(); ++i) {
-        ASSERT_TRUE(ev[i] == ref[i]) << "command " << i << " diverges";
-        if (ev[i].type == DramCommandType::Refresh)
-            ++refreshes;
-    }
-    EXPECT_GT(refreshes, 0u) << "trace never exercised a refresh";
+    SimConfig cfg = smallConfig();
+    if (device)
+        cfg.applyDevice(dramDeviceOrDie(device));
+    cfg.measureCoreCycles = 200'000; // Spans several tREFI periods.
+    EXPECT_GT(runBothAndCompare(cfg, WorkloadId::DS)
+                  .count(DramCommandType::Refresh),
+              0u)
+        << "trace never exercised a refresh";
 }
 
 } // namespace

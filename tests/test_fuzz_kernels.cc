@@ -6,11 +6,13 @@
  * part) x scheduler x page policy x mapping x bank-group mapping x
  * channel count x workload x refresh on/off — each run on the
  * event-scheduled kernel AND the tick-by-tick reference loop,
- * asserting bit-identical metrics and exact per-channel command-trace
- * equality. A quarter of the indices force the stacked backend
- * (vault counts {4, 8, 16}, dynamic remapping on/off) so vault
- * routing, TSV timing and the migration cost model are always in the
- * differential sample.
+ * asserting bit-identical metrics (firstDifferentMetric) and equal
+ * per-channel command logs (CommandLog::firstDivergence), and
+ * refereeing every channel of the event run with the TimingChecker on
+ * that channel's own timings and clocks. A quarter of the indices
+ * force the stacked backend (vault counts {4, 8, 16}, dynamic
+ * remapping on/off) so vault routing, TSV timing and the migration
+ * cost model are always in the differential sample.
  *
  * Each configuration additionally runs the epoch-sharded parallel
  * kernel at thread budgets {2, 4, 7}; metrics and command traces must
@@ -31,9 +33,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "common/random.hh"
+#include "dram/command_log.hh"
 #include "dram/devices.hh"
 #include "mem/factory.hh"
 #include "sim/knobs.hh"
@@ -129,29 +131,11 @@ drawConfig(std::uint64_t index)
     return f;
 }
 
-struct TraceEntry
-{
-    std::uint32_t channel;
-    DramCommandType type;
-    std::uint32_t rank, bank;
-    std::uint64_t row;
-    std::uint32_t column;
-    Tick tick;
-
-    bool
-    operator==(const TraceEntry &o) const
-    {
-        return channel == o.channel && type == o.type && rank == o.rank &&
-               bank == o.bank && row == o.row && column == o.column &&
-               tick == o.tick;
-    }
-};
-
 struct RunResult
 {
     MetricSet metrics;
     Tick endTick{};
-    std::vector<TraceEntry> trace;
+    CommandLog log;
 };
 
 RunResult
@@ -163,89 +147,19 @@ runKernel(const FuzzConfig &f, bool reference,
     System sys(cfg, workloadPreset(f.workload));
     sys.useReferenceKernel(reference);
     RunResult r;
-    // Capture per channel: command hooks fire on the owning shard's
-    // thread under the parallel kernel, so a shared vector would race.
-    std::vector<std::vector<TraceEntry>> perCh(sys.numControllers());
-    for (std::uint32_t ch = 0; ch < sys.numControllers(); ++ch) {
-        sys.controller(ch).channel().setCommandHook(
-            [&perCh, ch](const DramCommand &cmd, Tick now) {
-                perCh[ch].push_back({ch, cmd.type, cmd.rank, cmd.bank,
-                                     cmd.row, cmd.column, now});
-            });
-    }
+    r.log.attachAll(sys);
     r.metrics = sys.run();
     r.endTick = sys.now();
-    // Merge by (tick, channel). The serial kernels' interleaved issue
-    // order is exactly this sort: controllers tick in channel-index
-    // order and issue at most one command per tick, so the merge is a
-    // kernel-independent canonical form.
-    for (const auto &v : perCh)
-        r.trace.insert(r.trace.end(), v.begin(), v.end());
-    std::stable_sort(r.trace.begin(), r.trace.end(),
-                     [](const TraceEntry &a, const TraceEntry &b) {
-                         return a.tick != b.tick ? a.tick < b.tick
-                                                 : a.channel < b.channel;
-                     });
     return r;
 }
 
-/** Exact command-trace equality with a pinpointed first divergence. */
+/** Every metric to the last bit, the end tick, and every command. */
 void
-expectTracesIdentical(const RunResult &got, const RunResult &want,
-                      const char *gotName, const char *wantName)
+expectRunsIdentical(const RunResult &got, const RunResult &want)
 {
-    ASSERT_EQ(got.trace.size(), want.trace.size())
-        << "command counts diverge (" << gotName << " vs " << wantName
-        << ")";
-    for (std::size_t i = 0; i < got.trace.size(); ++i) {
-        ASSERT_TRUE(got.trace[i] == want.trace[i])
-            << "command " << i << " diverges: " << gotName << " issued "
-            << dramCommandName(got.trace[i].type) << "@ch"
-            << got.trace[i].channel << " tick " << got.trace[i].tick
-            << ", " << wantName << " issued "
-            << dramCommandName(want.trace[i].type) << "@ch"
-            << want.trace[i].channel << " tick " << want.trace[i].tick;
-    }
-}
-
-/** Every metric must match to the last bit, not approximately. */
-void
-expectMetricsIdentical(const MetricSet &ev, const MetricSet &ref)
-{
-    EXPECT_EQ(ev.userIpc, ref.userIpc);
-    EXPECT_EQ(ev.avgReadLatency, ref.avgReadLatency);
-    EXPECT_EQ(ev.readLatencyP50, ref.readLatencyP50);
-    EXPECT_EQ(ev.readLatencyP95, ref.readLatencyP95);
-    EXPECT_EQ(ev.readLatencyP99, ref.readLatencyP99);
-    EXPECT_EQ(ev.rowHitRatePct, ref.rowHitRatePct);
-    EXPECT_EQ(ev.l2Mpki, ref.l2Mpki);
-    EXPECT_EQ(ev.avgReadQueue, ref.avgReadQueue);
-    EXPECT_EQ(ev.avgWriteQueue, ref.avgWriteQueue);
-    EXPECT_EQ(ev.bwUtilPct, ref.bwUtilPct);
-    EXPECT_EQ(ev.singleAccessPct, ref.singleAccessPct);
-    EXPECT_EQ(ev.sameGroupCasPct, ref.sameGroupCasPct);
-    EXPECT_EQ(ev.ipcDisparity, ref.ipcDisparity);
-    EXPECT_EQ(ev.dramEnergyNj, ref.dramEnergyNj);
-    EXPECT_EQ(ev.dramAvgPowerMw, ref.dramAvgPowerMw);
-    EXPECT_EQ(ev.committedInstructions, ref.committedInstructions);
-    EXPECT_EQ(ev.measuredCycles, ref.measuredCycles);
-    EXPECT_EQ(ev.memReads, ref.memReads);
-    EXPECT_EQ(ev.memWrites, ref.memWrites);
-    ASSERT_EQ(ev.perCoreIpc.size(), ref.perCoreIpc.size());
-    for (std::size_t i = 0; i < ev.perCoreIpc.size(); ++i)
-        EXPECT_EQ(ev.perCoreIpc[i], ref.perCoreIpc[i]);
-    // Stacked-backend quantities (all-zero on flat configurations).
-    EXPECT_EQ(ev.vaultQueueImbalance, ref.vaultQueueImbalance);
-    EXPECT_EQ(ev.remapMigrations, ref.remapMigrations);
-    EXPECT_EQ(ev.remapMigratedRows, ref.remapMigratedRows);
-    // Tiered-backend quantities (all-zero on non-tiered configurations).
-    EXPECT_EQ(ev.fastTierHitPct, ref.fastTierHitPct);
-    EXPECT_EQ(ev.slowTierReadLatencyP99, ref.slowTierReadLatencyP99);
-    EXPECT_EQ(ev.tierMigrations, ref.tierMigrations);
-    EXPECT_EQ(ev.tierMigratedRows, ref.tierMigratedRows);
-    ASSERT_EQ(ev.perVaultReadQueue.size(), ref.perVaultReadQueue.size());
-    for (std::size_t i = 0; i < ev.perVaultReadQueue.size(); ++i)
-        EXPECT_EQ(ev.perVaultReadQueue[i], ref.perVaultReadQueue[i]);
+    EXPECT_STREQ(firstDifferentMetric(got.metrics, want.metrics), nullptr);
+    EXPECT_EQ(got.endTick, want.endTick);
+    EXPECT_EQ(got.log.firstDivergence(want.log), "");
 }
 
 } // namespace
@@ -272,14 +186,15 @@ TEST_P(KernelFuzz, EventAndReferenceKernelsAgreeOnRandomConfig)
     const RunResult ev = runKernel(f, /*reference=*/false);
     const RunResult ref = runKernel(f, /*reference=*/true);
 
-    expectMetricsIdentical(ev.metrics, ref.metrics);
-    EXPECT_EQ(ev.endTick, ref.endTick);
-
     // Exact command-trace equality: a kernel that skipped a refresh
-    // deadline, latch delivery or group-timing boundary shifts this
-    // sequence.
-    expectTracesIdentical(ev, ref, "event kernel", "reference");
-    EXPECT_FALSE(ev.trace.empty()) << "run issued no DRAM commands";
+    // deadline, latch delivery or group-timing boundary shifts a
+    // channel's stream.
+    expectRunsIdentical(ev, ref);
+    EXPECT_GT(ev.log.count(), 0u) << "run issued no DRAM commands";
+    // The kernels agreeing does not make them right: every channel's
+    // stream must also pass the independent checker on its own
+    // timings (a stacked vault's tTSV, a slow tier's stretched ones).
+    EXPECT_EQ(ev.log.firstViolation(), "");
 
     // The epoch-sharded parallel kernel must reproduce the serial
     // event kernel bit for bit at every thread budget (IO-enabled
@@ -290,10 +205,7 @@ TEST_P(KernelFuzz, EventAndReferenceKernelsAgreeOnRandomConfig)
         SCOPED_TRACE("with kernel_threads = " + std::to_string(threads) +
                      "; reproduce with --config spec:\n" +
                      reproSpec(f.workload, threaded));
-        const RunResult par = runKernel(f, /*reference=*/false, threads);
-        expectMetricsIdentical(par.metrics, ev.metrics);
-        EXPECT_EQ(par.endTick, ev.endTick);
-        expectTracesIdentical(par, ev, "parallel kernel", "serial event");
+        expectRunsIdentical(runKernel(f, /*reference=*/false, threads), ev);
     }
 }
 

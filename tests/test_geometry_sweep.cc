@@ -9,12 +9,9 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
-#include <tuple>
-#include <vector>
 
-#include "dram/timing_checker.hh"
+#include "dram/command_log.hh"
 #include "sim/system.hh"
 #include "workload/presets.hh"
 
@@ -59,20 +56,11 @@ TEST_P(GeometrySweep, SystemRunsSanelyAndLegally)
     cfg.measureCoreCycles = 120'000;
 
     System sys(cfg, workloadPreset(WorkloadId::DS));
-
-    // Independent protocol referee on the channel.
-    TimingChecker checker(cfg.dram, cfg.timings);
-    int violations = 0;
-    std::string firstError;
-    sys.controller(0).channel().setCommandHook(
-        [&](const DramCommand &cmd, Tick now) {
-            const std::string err = checker.check(cmd, now);
-            if (!err.empty() && violations++ == 0)
-                firstError = err;
-        });
-
+    CommandLog log;
+    log.attachAll(sys);
     const MetricSet m = sys.run();
-    EXPECT_EQ(violations, 0) << firstError;
+    // Independent protocol referee on every channel.
+    EXPECT_EQ(log.firstViolation(), "");
     EXPECT_GT(m.userIpc, 0.05);
     EXPECT_GT(m.memReads, 100u);
     EXPECT_GE(m.rowHitRatePct, 0.0);

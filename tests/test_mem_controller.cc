@@ -16,6 +16,7 @@
 
 #include "common/random.hh"
 #include "dram/channel.hh"
+#include "dram/command_log.hh"
 #include "dram/devices.hh"
 #include "mem/factory.hh"
 #include "mem/mem_controller.hh"
@@ -208,16 +209,13 @@ TEST(MemController, BlockedRefreshWakesAtPrechargeLegalTick)
         Harness stepped(SchedulerKind::FrFcfs, PagePolicyKind::OpenAdaptive,
                         true, tm);
         const Tick due = stepped.channel.rank(0).nextRefreshDue();
-        std::vector<std::pair<DramCommandType, Tick>> cmds[2];
+        CommandLog logs[2];
         Harness *harnesses[2] = {&perCycle, &stepped};
         for (int i = 0; i < 2; ++i) {
             Harness &h = *harnesses[i];
             h.channel.issue(DramCommand::activate(DramCoord{0, 0, 0, 1, 0}),
                             due - 2 * cycle);
-            h.channel.setCommandHook([&cmds, i](const DramCommand &c,
-                                                Tick at) {
-                cmds[i].emplace_back(c.type, at);
-            });
+            logs[i].attach(h.channel);
             h.now = due;
         }
         const Tick preLegal = stepped.channel.bank(0, 0).preAllowedAt();
@@ -228,21 +226,21 @@ TEST(MemController, BlockedRefreshWakesAtPrechargeLegalTick)
 
         // Run both until the refresh issues: one every DRAM cycle, the
         // other only on the ticks tick() asks for.
-        const auto refreshed = [](const auto &log) {
-            return !log.empty() &&
-                   log.back().first == DramCommandType::Refresh;
+        const auto refreshed = [](const CommandLog &log) {
+            return log.count(DramCommandType::Refresh) > 0;
         };
-        while (!refreshed(cmds[0]) && perCycle.now < due + 200 * cycle) {
+        while (!refreshed(logs[0]) && perCycle.now < due + 200 * cycle) {
             perCycle.mc.tick(perCycle.now);
             perCycle.now += cycle;
         }
-        while (!refreshed(cmds[1]) && stepped.now < due + 200 * cycle)
+        while (!refreshed(logs[1]) && stepped.now < due + 200 * cycle)
             stepped.now = stepped.mc.tick(stepped.now);
 
-        ASSERT_EQ(cmds[0].size(), 2u);
-        EXPECT_EQ(cmds[0][0],
-                  std::make_pair(DramCommandType::Precharge, preLegal));
-        EXPECT_EQ(cmds[1], cmds[0]);
+        const auto &cmds = logs[0].channels[0].entries;
+        ASSERT_EQ(cmds.size(), 2u);
+        EXPECT_EQ(cmds[0].cmd.type, DramCommandType::Precharge);
+        EXPECT_EQ(cmds[0].tick, preLegal);
+        EXPECT_EQ(logs[1].firstDivergence(logs[0]), "");
     }
 }
 
@@ -294,11 +292,16 @@ TEST(MemController, DrainFlipReasksPagePolicy)
     // idle cycle although nothing else happens to its bank: the drain
     // flip alone changes the policy's answer.
     Harness h(SchedulerKind::FrFcfs, PagePolicyKind::CloseAdaptive, false);
-    std::vector<Tick> bank0Pre;
-    h.channel.setCommandHook([&bank0Pre](const DramCommand &c, Tick at) {
-        if (c.type == DramCommandType::Precharge && c.bank == 0)
-            bank0Pre.push_back(at);
-    });
+    CommandLog log;
+    log.attach(h.channel);
+    // The first precharge to bank 0, or kMaxTick while none issued.
+    const auto firstBank0Pre = [&log] {
+        for (const CommandLog::Entry &e : log.channels[0].entries) {
+            if (e.cmd.type == DramCommandType::Precharge && e.cmd.bank == 0)
+                return e.tick;
+        }
+        return kMaxTick;
+    };
     h.mc.enqueue(h.makeReq(addrOf(5, 0, 0), false), h.now);
     Request *held = h.makeReq(addrOf(5, 0, 1), false);
     held->availableAt = h.now + kBaselineClocks.dramToTicks(100000);
@@ -306,12 +309,11 @@ TEST(MemController, DrainFlipReasksPagePolicy)
     h.run(200);
     ASSERT_EQ(h.completed.size(), 1u); // The ungated read.
     ASSERT_TRUE(h.channel.bank(0, 0).isOpen()); // Held hit pending.
-    ASSERT_TRUE(bank0Pre.empty());
+    ASSERT_EQ(firstBank0Pre(), kMaxTick);
     for (std::uint32_t col = 0; col < 24; ++col)
         h.mc.enqueue(h.makeReq(addrOf(0, 1, col), true), h.now);
     h.run(300);
-    ASSERT_FALSE(bank0Pre.empty());
-    EXPECT_LT(bank0Pre.front(), held->availableAt);
+    EXPECT_LT(firstBank0Pre(), held->availableAt);
     EXPECT_FALSE(h.channel.bank(0, 0).isOpen());
 }
 
@@ -551,9 +553,7 @@ struct DeviceRig
         mc.setCompletionCallback([this](Request *req, Tick at) {
             done.emplace_back(req->id, at);
         });
-        channel.setCommandHook([this](const DramCommand &c, Tick at) {
-            cmds.push_back({c, at});
-        });
+        log.attach(channel);
     }
 
     /**
@@ -601,7 +601,7 @@ struct DeviceRig
     MemController mc;
     std::vector<std::unique_ptr<Request>> storage;
     std::vector<std::pair<std::uint64_t, Tick>> done;
-    std::vector<std::pair<DramCommand, Tick>> cmds;
+    CommandLog log;
 };
 
 const char *const kRigDevices[] = {"DDR3-1600", "DDR4-2400", "DDR5-4800",
@@ -873,6 +873,7 @@ TEST(MemController, CandidatesMatchBankState)
                 CheckedCandidates &check = *checked;
                 DeviceRig rig(device, std::move(checked), policy);
                 check.channel = &rig.channel;
+                const auto &issued = rig.log.channels[0].entries;
                 Pcg32 rng(13, static_cast<std::uint64_t>(sched));
                 Tick now{};
                 for (int cycle = 0; cycle < 14000; ++cycle) {
@@ -880,8 +881,8 @@ TEST(MemController, CandidatesMatchBankState)
                     rig.mc.tick(now);
                     ASSERT_EQ(check.mismatch, "") << "cycle " << cycle;
                     ASSERT_TRUE(!check.poolUnoffered ||
-                                (!rig.cmds.empty() &&
-                                 rig.cmds.back().second == now))
+                                (!issued.empty() &&
+                                 issued.back().tick == now))
                         << "cycle " << cycle << ": pool not offered";
                     now += clk.dramToTicks(1);
                 }
@@ -941,18 +942,7 @@ TEST(MemController, BankHeadsMatchPerRequestCandidates)
                     every.mc.tick(now);
                     now += clk.dramToTicks(1);
                 }
-                ASSERT_EQ(hinted.cmds.size(), every.cmds.size());
-                for (std::size_t i = 0; i < hinted.cmds.size(); ++i) {
-                    const auto &[a, at] = hinted.cmds[i];
-                    const auto &[b, bt] = every.cmds[i];
-                    ASSERT_TRUE(a.type == b.type && a.rank == b.rank &&
-                                a.bank == b.bank && a.row == b.row &&
-                                a.column == b.column && at == bt)
-                        << "command " << i << ": hinted issued "
-                        << dramCommandName(a.type) << " at " << at
-                        << ", every-cycle issued "
-                        << dramCommandName(b.type) << " at " << bt;
-                }
+                EXPECT_EQ(hinted.log.firstDivergence(every.log), "");
                 EXPECT_EQ(hinted.done, every.done);
                 EXPECT_GT(hinted.done.size(), 100u);
                 EXPECT_GT(hinted.channel.stats().refreshes, 0u);
